@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -28,8 +27,8 @@ from .construct import (
     save_constructed,
     verify_construction,
 )
-from .dynsys import load_system, save_system
-from .equilibria import find_equilibria, save_reports
+from .dynsys import load_system, save_system, write_json
+from .equilibria import find_equilibria, reports_to_json
 from .probe import (
     HELD_OUT_CLASS,
     NATURAL_NOISE,
@@ -54,12 +53,12 @@ from .simulate import (
     DivergenceError,
     integrate_rk4,
     iterate_map,
-    save_slow_fast,
     sine_map_system,
     slow_fast_report,
+    slow_fast_to_dict,
     trajectory_to_csv,
 )
-from .spectral import save_spectrum, svd_spectrum
+from .spectral import DEFAULT_RANK_TOL, spectrum_to_dict, svd_spectrum
 
 # named sub-streams hanging off the single --seed
 _STREAM_CONSTRUCT = 0
@@ -90,10 +89,7 @@ def _write_manifest(out_dir: Path, argv, seed, inputs, outputs, duration):
         "outputs": [{"path": str(p), "sha256": _sha256(Path(p))} for p in outputs],
         "duration_s": duration,
     }
-    path = out_dir / "manifest.json"
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2))
-    os.replace(tmp, path)
+    write_json(out_dir / "manifest.json", manifest)
 
 
 def cmd_construct(args):
@@ -105,7 +101,7 @@ def cmd_construct(args):
     system_path = out_dir / "system.json"
     save_constructed(ca, system_path)
     verification_path = out_dir / "verification.json"
-    verification_path.write_text(json.dumps({
+    write_json(verification_path, {
         "n": ca.n,
         "m": ca.m,
         "expected_rank": report.expected_rank,
@@ -116,7 +112,7 @@ def cmd_construct(args):
         "max_nonzero_realpart": report.max_nonzero_realpart,
         "failures": [list(f) for f in report.failures],
         "passed": report.passed,
-    }, indent=2))
+    })
     n = ca.n
     print(f"constructed n={n} (p={ca.p}, z={ca.z}), attractor dim m={ca.m}")
     print(f"verification over {report.n_samples} samples: "
@@ -136,10 +132,10 @@ def cmd_analyze(args):
     reports = find_equilibria(sys_obj, box=(args.box[0], args.box[1]),
                               n_starts=args.starts,
                               seed=subseed(args.seed, _STREAM_STARTS),
-                              rel_tol=args.rank_tol, workers=args.workers)
+                              rel_tol=args.rank_tol)
     out_dir = Path(args.out_dir)
     eq_path = out_dir / "equilibria.json"
-    save_reports(reports, eq_path)
+    write_json(eq_path, reports_to_json(reports))
     print(f"{len(reports)} equilibria in box [{args.box[0]}, {args.box[1]}]^{sys_obj.n}")
     print(f"{'#':>3} {'residual':>12} {'rank':>5} {'dim':>4} "
           f"{'stability':>10} {'grazing':>7}  point")
@@ -151,7 +147,10 @@ def cmd_analyze(args):
 
 
 def _parse_x0(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split(",")])
+    x0 = np.array([float(v) for v in text.split(",")])
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"--x0 must be finite, got {text!r}")
+    return x0
 
 
 def cmd_simulate(args):
@@ -195,7 +194,7 @@ def cmd_simulate(args):
 
     report = slow_fast_report(traj, theta=args.theta, eps_conv=args.eps_conv)
     report_path = out_dir / "slowfast.json"
-    save_slow_fast(report, report_path)
+    write_json(report_path, slow_fast_to_dict(report))
     outputs.append(report_path)
     print(f"steps={traj.states.shape[0] - 1} collapse_step={report.collapse_step} "
           f"terminal_drift={report.terminal_drift:.6g} converged={report.converged}")
@@ -265,8 +264,7 @@ def cmd_probe(args):
         groups[HELD_OUT_CLASS] = held_out
     if natural is not None:
         groups[NATURAL_NOISE] = natural
-    stats = stratification_study(trained, groups, samples_per_group=args.samples_per_group,
-                                 workers=args.workers)
+    stats = stratification_study(trained, groups, samples_per_group=args.samples_per_group)
     strat_path = out_dir / "stratification.csv"
     write_group_stats_csv(stats, strat_path)
     samples_path = out_dir / "stratification_samples.csv"
@@ -293,7 +291,7 @@ def cmd_svd_report(args):
     report = svd_spectrum(M, rel_tol=args.rank_tol)
     out_dir = Path(args.out_dir)
     out_path = out_dir / "spectrum.json"
-    save_spectrum(report, out_path)
+    write_json(out_path, spectrum_to_dict(report))
     print(f"{M.shape[0]}x{M.shape[1]} matrix: rank {report.numerical_rank} "
           f"(tol {report.tol_used:g}), cv {report.cv:.6g}, "
           f"max gap ratio {report.max_gap_ratio:.6g}")
@@ -304,9 +302,10 @@ def cmd_svd_report(args):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--rank-tol", type=float, default=1e-8)
-    common.add_argument("--workers", type=int, default=1)
     common.add_argument("--out-dir", default=".")
+    # only the subcommands that measure a numerical rank take a tolerance
+    rank_tol = argparse.ArgumentParser(add_help=False)
+    rank_tol.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
 
     parser = argparse.ArgumentParser(prog="attrakit",
                                      description="continuous-attractor analysis toolkit")
@@ -322,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=25)
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[common, rank_tol],
                        help="find equilibria and their attractor dimensions")
     p.add_argument("system")
     p.add_argument("--box", type=float, nargs=2, default=(-3.0, 3.0),
@@ -368,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples-per-group", type=int, default=50)
     p.set_defaults(func=cmd_probe)
 
-    p = sub.add_parser("svd-report", parents=[common],
+    p = sub.add_parser("svd-report", parents=[common, rank_tol],
                        help="spectrum report of a matrix file (CSV or system JSON)")
     p.add_argument("matrix")
     p.set_defaults(func=cmd_svd_report)

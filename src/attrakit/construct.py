@@ -27,6 +27,7 @@ from .dynsys import (
     eval_field,
     system_from_dict,
     system_to_dict,
+    write_json,
 )
 from .equilibria import residual_jacobian
 from .spectral import svd_spectrum
@@ -274,7 +275,7 @@ def constructed_from_dict(d: dict) -> ConstructedAttractor:
 
 
 def save_constructed(ca: ConstructedAttractor, path) -> None:
-    Path(path).write_text(json.dumps(constructed_to_dict(ca), indent=2))
+    write_json(path, constructed_to_dict(ca))
 
 
 def load_constructed(path) -> ConstructedAttractor:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import json
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +22,7 @@ __all__ = [
     "jacobian_fd",
     "system_to_dict",
     "system_from_dict",
+    "write_json",
     "save_system",
     "load_system",
 ]
@@ -187,8 +189,20 @@ def system_from_dict(d: dict) -> DynamicalSystem:
                            activation=d["activation"], form=d["form"])
 
 
+def write_json(path, obj, indent: int | None = 2) -> None:
+    """Write obj as JSON through a temporary file and an atomic rename.
+
+    A reader never sees a half-written file: the path holds either its old
+    content or the complete new document.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(obj, indent=indent))
+    os.replace(tmp, path)
+
+
 def save_system(sys: DynamicalSystem, path) -> None:
-    Path(path).write_text(json.dumps(system_to_dict(sys), indent=2))
+    write_json(path, system_to_dict(sys))
 
 
 def load_system(path) -> DynamicalSystem:

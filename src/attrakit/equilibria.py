@@ -8,11 +8,8 @@ dimension minus the numerical rank of the residual Jacobian there.
 
 from __future__ import annotations
 
-import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.stats import qmc
@@ -42,7 +39,6 @@ __all__ = [
     "verify_dependence",
     "dimension_from_dependence",
     "reports_to_json",
-    "save_reports",
 ]
 
 STABLE = "stable"
@@ -223,14 +219,13 @@ def find_equilibria(
     tol: float = DEFAULT_RESIDUAL_TOL,
     rel_tol: float = DEFAULT_RANK_TOL,
     eta: float = DEFAULT_ETA,
-    workers: int = 1,
 ) -> list[EquilibriumReport]:
     """Multi-start damped-Newton search for equilibria inside a box.
 
     Starts are scrambled-Halton points, so the result is deterministic for a
     given seed. Converged points are sorted lexicographically and then
     deduplicated (distance below 1e-6 * (1 + |x|)), which makes the output
-    independent of start order and worker count.
+    independent of start order.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
@@ -239,17 +234,10 @@ def find_equilibria(
     unit = sampler.random(n_starts)
     starts = box[:, 0] + unit * (box[:, 1] - box[:, 0])
 
-    def refine(x0):
-        # kinks crossed mid-iteration are expected; the convention is fixed
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", KinkWarning)
-            return _newton_refine(sys, x0, tol)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(refine, starts))
-    else:
-        results = [refine(x0) for x0 in starts]
+    # kinks crossed mid-iteration are expected; the convention is fixed
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KinkWarning)
+        results = [_newton_refine(sys, x0, tol) for x0 in starts]
 
     converged = [(x, pinv) for x, ok, pinv in results if ok]
     converged.sort(key=lambda item: tuple(item[0]))
@@ -351,7 +339,3 @@ def reports_to_json(reports: list[EquilibriumReport]) -> list[dict]:
             "spectrum": spectrum_to_dict(r.spectrum),
         })
     return out
-
-
-def save_reports(reports: list[EquilibriumReport], path) -> None:
-    Path(path).write_text(json.dumps(reports_to_json(reports), indent=2))

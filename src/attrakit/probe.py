@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynsys import Activation
-from .spectral import cv_metric
+from .dynsys import Activation, write_json
 
 __all__ = [
     "TRAIN_CLASS",
@@ -420,10 +419,20 @@ def default_checkpoint_schedule(n_batches_per_epoch: int, epochs: int,
     return sorted(points)
 
 
-def _probe_cv(net: TinyNet, x: np.ndarray) -> tuple[float, np.ndarray]:
-    s = np.linalg.svd(classifier_jacobian(net, x), compute_uv=False)
-    cv = cv_metric(s) if s.max(initial=0.0) > 0.0 else 0.0
-    return float(cv), s
+def _logit_spectra(net: TinyNet, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Logit-Jacobian singular values (S, k) and their cv (S,) at each row of X.
+
+    The Jacobians are accumulated in reverse mode, from the output layer
+    back to the input, for all rows at once. An all-zero spectrum has cv 0.
+    """
+    pre, _ = net._forward_cached(X)
+    J = np.broadcast_to(net.weights[-1], (X.shape[0],) + net.weights[-1].shape)
+    for k in range(len(net.weights) - 1, 0, -1):
+        J = (J * net.hidden_activation.deriv(pre[k - 1])[:, None, :]) @ net.weights[k - 1]
+    s = np.linalg.svd(J, compute_uv=False)
+    mean = s.mean(axis=1)
+    cv = np.divide(s.var(axis=1), mean**2, out=np.zeros_like(mean), where=mean > 0.0)
+    return s, cv
 
 
 def train(net: TinyNet, data: Dataset, cfg: TrainConfig,
@@ -448,12 +457,13 @@ def train(net: TinyNet, data: Dataset, cfg: TrainConfig,
     marks = {cp for cp in schedule if 0 <= cp <= total} | {total}
 
     trace = CvTrace()
+    # the reshape keeps an empty probe list a (0, d) stack
+    probe_x = np.array([p.x for p in probes], dtype=float).reshape(len(probes), data.dim)
 
     def record(checkpoint: int):
-        for probe in probes:
-            cv, svs = _probe_cv(net, probe.x)
-            trace.records.append(CvRecord(checkpoint, probe.sample_id,
-                                          probe.category, cv, svs))
+        svs, cvs = _logit_spectra(net, probe_x)
+        trace.records += [CvRecord(checkpoint, p.sample_id, p.category, float(cv), s)
+                          for p, cv, s in zip(probes, cvs, svs)]
 
     vel_w = [np.zeros_like(W) for W in net.weights]
     vel_b = [np.zeros_like(b) for b in net.biases]
@@ -497,8 +507,7 @@ class GroupCvStats:
 
 
 def stratification_study(net: TinyNet, groups: dict[str, np.ndarray],
-                         samples_per_group: int = 50,
-                         workers: int = 1) -> list[GroupCvStats]:
+                         samples_per_group: int = 50) -> list[GroupCvStats]:
     """Per-group cv statistics of the logits-Jacobian singular values."""
     out = []
     for name, samples in groups.items():
@@ -506,16 +515,8 @@ def stratification_study(net: TinyNet, groups: dict[str, np.ndarray],
         if samples.shape[0] == 0:
             warnings.warn(f"group {name!r} is empty, skipped", stacklevel=2)
             continue
-        samples = samples[:samples_per_group]
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda x: _probe_cv(net, x), samples))
-        else:
-            results = [_probe_cv(net, x) for x in samples]
-        cvs = np.array([cv for cv, _ in results])
-        svs = [s for _, s in results]
-        out.append(GroupCvStats(group=name, cvs=cvs, singular_values=svs))
+        svs, cvs = _logit_spectra(net, samples[:samples_per_group])
+        out.append(GroupCvStats(group=name, cvs=cvs, singular_values=list(svs)))
     return out
 
 
@@ -551,7 +552,7 @@ def save_net(net: TinyNet, path) -> None:
         "weights": [W.tolist() for W in net.weights],
         "biases": [b.tolist() for b in net.biases],
     }
-    Path(path).write_text(json.dumps(payload))
+    write_json(path, payload, indent=None)
 
 
 def load_net(path) -> TinyNet:

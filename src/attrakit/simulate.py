@@ -11,9 +11,7 @@ collapse.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -30,19 +28,19 @@ __all__ = [
     "trajectory_to_csv",
     "trajectory_from_csv",
     "slow_fast_to_dict",
-    "save_slow_fast",
 ]
 
 DIVERGENCE_NORM = 1e12
 
 
 class DivergenceError(RuntimeError):
-    """The trajectory left the admissible region (norm above 1e12)."""
+    """The trajectory left the admissible region (norm above 1e12 or non-finite)."""
 
     def __init__(self, step: int, last_state: np.ndarray):
         self.step = step
         self.last_state = last_state
-        super().__init__(f"state norm exceeded {DIVERGENCE_NORM:g} at step {step}")
+        super().__init__(
+            f"state norm exceeded {DIVERGENCE_NORM:g} or became non-finite at step {step}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +98,7 @@ def iterate_map(sys: DynamicalSystem, x0, steps: int) -> Trajectory:
     states[0] = x
     for t in range(steps):
         x_next = eval_field(sys, states[t])
-        if float(np.linalg.norm(x_next)) > DIVERGENCE_NORM:
+        if not float(np.linalg.norm(x_next)) <= DIVERGENCE_NORM:  # NaN fails too
             raise DivergenceError(t + 1, states[t].copy())
         speeds[t] = np.linalg.norm(x_next - states[t])
         states[t + 1] = x_next
@@ -129,7 +127,7 @@ def integrate_rk4(sys: DynamicalSystem, x0, t_end: float, h: float) -> Trajector
         k3 = eval_field(sys, x + 0.5 * dt * k2)
         k4 = eval_field(sys, x + dt * k3)
         x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if float(np.linalg.norm(x_next)) > DIVERGENCE_NORM:
+        if not float(np.linalg.norm(x_next)) <= DIVERGENCE_NORM:  # NaN fails too
             raise DivergenceError(t + 1, x.copy())
         states[t + 1] = x_next
     speeds = np.array([np.linalg.norm(eval_field(sys, s)) for s in states])
@@ -236,7 +234,3 @@ def slow_fast_to_dict(report: SlowFastReport) -> dict:
         "endpoint": report.endpoint.tolist(),
         "converged": report.converged,
     }
-
-
-def save_slow_fast(report: SlowFastReport, path) -> None:
-    Path(path).write_text(json.dumps(slow_fast_to_dict(report), indent=2))

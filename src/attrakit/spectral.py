@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -18,7 +16,6 @@ __all__ = [
     "cv_metric",
     "max_gap_ratio",
     "spectrum_to_dict",
-    "save_spectrum",
 ]
 
 DEFAULT_RANK_TOL = 1e-8
@@ -134,7 +131,3 @@ def spectrum_to_dict(report: SpectrumReport) -> dict:
         "tol": report.tol_used,
         "max_gap_ratio": report.max_gap_ratio,
     }
-
-
-def save_spectrum(report: SpectrumReport, path) -> None:
-    Path(path).write_text(json.dumps(spectrum_to_dict(report), indent=2))

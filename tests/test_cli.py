@@ -1,12 +1,14 @@
 import csv
 import hashlib
 import json
+import shlex
 import struct
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from attrakit.cli import main, subseed
+from attrakit.cli import build_parser, main, subseed
 from attrakit.dynsys import Activation, SystemForm, make_system, save_system
 from attrakit.probe import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
 
@@ -185,6 +187,15 @@ def test_simulate_divergence_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("x0", ["nan,0,0", "0,inf,0"])
+def test_simulate_rejects_non_finite_x0(tmp_path, x0):
+    out = tmp_path / "run"
+    code = main(["simulate", "--gen", "stratified", "--steps", "50",
+                 "--x0", x0, "--out-dir", str(out)])
+    assert code == 2
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_simulate_requires_steps_for_discrete(tmp_path):
     out = tmp_path / "run"
     code = main(["simulate", "--gen", "uniform", "--out-dir", str(out)])
@@ -291,6 +302,40 @@ def test_svd_report_rank_tol_flag(tmp_path):
                  "--out-dir", str(out2)]) == 0
     assert json.loads((out1 / "spectrum.json").read_text())["rank"] == 2
     assert json.loads((out2 / "spectrum.json").read_text())["rank"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--p", "4", "--z", "2", "--m", "1", "--rank-tol", "1e-3"],
+    ["simulate", "--gen", "stratified", "--steps", "5", "--rank-tol", "1e-3"],
+    ["probe", "--synthetic", "--rank-tol", "1e-3"],
+    ["analyze", "system.json", "--workers", "2"],
+    ["svd-report", "m.csv", "--workers", "2"],
+])
+def test_unread_options_are_rejected(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out-dir", str(tmp_path / "run")])
+    assert exc.value.code == 2
+
+
+def test_analyze_takes_rank_tol():
+    parser = build_parser()
+    assert parser.parse_args(["analyze", "system.json"]).rank_tol == 1e-8
+    assert parser.parse_args(["analyze", "system.json", "--rank-tol", "1e-3"]).rank_tol == 1e-3
+
+
+def test_readme_recipes_parse():
+    # every `attrakit ...` line of README's command-line block, continuations joined
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    recipes = [line.strip() for line in block.replace("\\\n", " ").splitlines()
+               if line.strip().startswith("attrakit ")]
+    assert len(recipes) >= 7
+    parser = build_parser()
+    for recipe in recipes:
+        try:
+            parser.parse_args(shlex.split(recipe)[1:])
+        except SystemExit:
+            pytest.fail(f"README recipe does not parse: {recipe}")
 
 
 def test_analyze_rerun_reproduces_hashes(tmp_path):

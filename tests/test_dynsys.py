@@ -17,6 +17,7 @@ from attrakit.dynsys import (
     make_system,
     save_system,
     system_from_dict,
+    write_json,
 )
 
 SMOOTH = [Activation.identity, Activation.tanh, Activation.sine, Activation.logistic]
@@ -177,6 +178,17 @@ def test_system_json_round_trip(tmp_path):
     assert loaded.form is sys1.form
     keys = set(json.loads(path.read_text()))
     assert keys == {"n", "form", "activation", "W", "A", "b"}
+
+
+def test_write_json_replaces_whole_file_with_fixed_layout(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_text("stale content that is longer than the new document")
+    payload = {"a": [1.5, 2], "b": None}
+    write_json(path, payload)
+    assert path.read_text() == json.dumps(payload, indent=2)
+    write_json(path, payload, indent=None)
+    assert path.read_text() == json.dumps(payload)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 def test_system_from_dict_missing_key():

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from attrakit.dynsys import Activation
 from attrakit.probe import (
     IDX_IMAGE_MAGIC,
     IDX_LABEL_MAGIC,
@@ -356,13 +357,54 @@ def test_stratification_identical_samples_have_zero_spread():
     assert np.all(stats[0].cvs == stats[0].cvs[0])
 
 
-def test_stratification_worker_count_does_not_change_results():
-    net = TinyNet.init([6, 10, 3], seed=21)
-    rng = np.random.default_rng(22)
-    groups = {"g": rng.uniform(0, 1, (12, 6))}
-    seq = stratification_study(net, groups, workers=1)
-    par = stratification_study(net, groups, workers=3)
-    assert np.array_equal(seq[0].cvs, par[0].cvs)
+def assert_matches_per_sample_reference(net, X, singular_values, cvs):
+    assert len(singular_values) == len(cvs) == X.shape[0]
+    for x, s, cv in zip(X, singular_values, cvs):
+        ref = np.linalg.svd(classifier_jacobian(net, x), compute_uv=False)
+        assert np.max(np.abs(s - ref)) <= 1e-12
+        assert abs(cv - (cv_metric(ref) if ref[0] > 0.0 else 0.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("dims, activation", [
+    ((6, 16, 8, 4), Activation.relu),
+    ((6, 16, 8, 4), Activation.tanh),
+    ((6, 4), Activation.relu),
+])
+def test_stratification_spectra_match_per_sample_reference(dims, activation):
+    net = TinyNet.init(dims, seed=23, hidden_activation=activation)
+    X = np.random.default_rng(24).uniform(0.0, 1.0, (20, 6))
+    stats = stratification_study(net, {"g": X})
+    assert_matches_per_sample_reference(net, X, stats[0].singular_values, stats[0].cvs)
+
+
+def test_stratification_dead_hidden_units_give_zero_spectrum_and_cv():
+    net = TinyNet.init([4, 5, 3], seed=25)
+    net.biases[0][:] = -100.0  # every hidden unit is off for inputs in [0, 1]
+    X = np.random.default_rng(26).uniform(0.0, 1.0, (3, 4))
+    stats = stratification_study(net, {"dead": X})
+    assert all(np.all(s == 0.0) for s in stats[0].singular_values)
+    assert np.all(stats[0].cvs == 0.0)
+    assert_matches_per_sample_reference(net, X, stats[0].singular_values, stats[0].cvs)
+
+
+def test_train_records_match_per_sample_reference():
+    data = synth_blobs(C=3, d=8, per_class=40, separation=6.0, seed=27)
+    net = TinyNet.init([8, 16, 8, 3], seed=27)
+    cfg = TrainConfig(learning_rate=0.05, epochs=1, seed=27)
+    probes = make_probe_samples(data, n_per_category=3, seed=28)
+    trained, trace = train(net, data, cfg, probes=probes)
+    final = [r for r in trace.records if r.checkpoint == trace.final_checkpoint()]
+    assert [r.sample_id for r in final] == [p.sample_id for p in probes]
+    assert_matches_per_sample_reference(trained, np.array([p.x for p in probes]),
+                                        [r.singular_values for r in final],
+                                        [r.cv for r in final])
+
+
+def test_train_without_probes_records_nothing():
+    data = synth_blobs(C=3, d=8, per_class=20, separation=6.0, seed=29)
+    cfg = TrainConfig(learning_rate=0.05, epochs=1, seed=29)
+    _, trace = train(TinyNet.init([8, 6, 3], seed=29), data, cfg, probes=[])
+    assert trace.records == []
 
 
 def test_stratification_skips_empty_group():

@@ -56,6 +56,23 @@ def test_iterate_map_divergence():
     assert err.value.step < 100
 
 
+def test_iterate_map_nan_start_diverges():
+    with pytest.raises(DivergenceError) as err:
+        iterate_map(scalar_map(0.5), [np.nan], steps=5)
+    assert err.value.step == 1
+
+
+def test_rk4_overflow_to_nan_diverges():
+    # the first stage overflows to -inf, and 0 * inf turns the next one into NaN
+    stiff = make_system(W=[[0.0]], A=[[1e308]], b=[0.0],
+                        activation=Activation.identity, form=SystemForm.pre_activation)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError, match="non-finite") as err:
+        integrate_rk4(stiff, [10.0], t_end=1.0, h=0.1)
+    assert err.value.step == 1
+    assert np.array_equal(err.value.last_state, [10.0])
+
+
 def test_iterate_map_requires_discrete_form():
     with pytest.raises(ValueError):
         iterate_map(decay_field(), [1.0], steps=3)
