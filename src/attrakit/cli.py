@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 construction failure, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -19,6 +20,9 @@ import time
 from pathlib import Path
 
 import numpy as np
+# numpy 2 loads numpy.random on first use; the seeded subcommands all use it,
+# so load it with the program and keep it out of the manifest's duration_s
+import numpy.random  # noqa: F401
 
 from . import __version__
 from .construct import (
@@ -146,17 +150,33 @@ def cmd_analyze(args):
     return [system_path], [eq_path]
 
 
-def _parse_x0(text: str) -> np.ndarray:
-    x0 = np.array([float(v) for v in text.split(",")])
+def _parse_x0(text: str, n: int) -> np.ndarray:
+    try:
+        x0 = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise ValueError(f"--x0 must be comma-separated numbers, got {text!r}") from None
+    if x0.shape != (n,):
+        raise ValueError(f"--x0 has {x0.shape[0]} values, the system dimension is {n}")
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"--x0 must be finite, got {text!r}")
     return x0
+
+
+def _parse_snapshots(text: str) -> list[int]:
+    try:
+        steps = sorted({int(v) for v in text.split(",")})
+    except ValueError:
+        raise ValueError(f"--snapshots must be comma-separated integers, got {text!r}") from None
+    if steps[0] < 0:
+        raise ValueError(f"--snapshots steps must be >= 0, got {steps[0]}")
+    return steps
 
 
 def cmd_simulate(args):
     out_dir = Path(args.out_dir)
     inputs = []
     outputs = []
+    snapshots = _parse_snapshots(args.snapshots) if args.snapshots else []
     if args.gen is not None:
         ratio = args.gen_ratio if args.gen == "stratified" else 1.0
         top = args.gen_top if args.gen == "stratified" else args.gen_uniform_top
@@ -174,7 +194,7 @@ def cmd_simulate(args):
         raise ValueError("either a system file or --gen is required")
 
     if args.x0 is not None:
-        x0 = _parse_x0(args.x0)
+        x0 = _parse_x0(args.x0, sys_obj.n)
     else:
         rng = np.random.default_rng(subseed(args.seed, _STREAM_X0))
         x0 = rng.uniform(-0.5, 0.5, size=sys_obj.n)
@@ -187,6 +207,10 @@ def cmd_simulate(args):
         if args.t_end is None or args.dt is None:
             raise ValueError("--t-end and --dt are required for continuous systems")
         traj = integrate_rk4(sys_obj, x0, args.t_end, args.dt)
+    # checked before the trajectory outputs are written, so none is left partial
+    if snapshots and snapshots[-1] >= traj.states.shape[0]:
+        raise ValueError(f"snapshot step {snapshots[-1]} outside trajectory "
+                         f"(last step {traj.states.shape[0] - 1})")
 
     traj_path = out_dir / "trajectory.csv"
     trajectory_to_csv(traj, traj_path)
@@ -199,18 +223,14 @@ def cmd_simulate(args):
     print(f"steps={traj.states.shape[0] - 1} collapse_step={report.collapse_step} "
           f"terminal_drift={report.terminal_drift:.6g} converged={report.converged}")
 
-    if args.snapshots:
-        wanted = sorted({int(v) for v in args.snapshots.split(",")})
+    if snapshots:
         snap_path = out_dir / "snapshots.csv"
         with open(snap_path, "w", newline="") as fh:
-            n = sys_obj.n
-            fh.write(",".join(["step", "t"] + [f"x_{j + 1}" for j in range(n)]) + "\n")
-            for step in wanted:
-                if not 0 <= step < traj.states.shape[0]:
-                    raise ValueError(f"snapshot step {step} outside trajectory")
-                row = [str(step), f"{traj.times[step]:.17g}"]
-                row += [f"{v:.17g}" for v in traj.states[step]]
-                fh.write(",".join(row) + "\n")
+            writer = csv.writer(fh)
+            writer.writerow(["step", "t"] + [f"x_{j + 1}" for j in range(sys_obj.n)])
+            for step in snapshots:
+                writer.writerow([step, f"{traj.times[step]:.17g}"]
+                                + [f"{v:.17g}" for v in traj.states[step]])
         outputs.append(snap_path)
     return inputs, outputs
 

@@ -103,7 +103,9 @@ class DynamicalSystem:
             raise ValueError(f"A has shape {A.shape}, expected ({n}, {n})")
         if b.shape != (n,):
             raise ValueError(f"b has shape {b.shape}, expected ({n},)")
-        for arr in (W, A, b):
+        for name, arr in (("W", W), ("A", A), ("b", b)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} has non-finite entries")
             arr.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "W", W)
@@ -193,11 +195,12 @@ def write_json(path, obj, indent: int | None = 2) -> None:
     """Write obj as JSON through a temporary file and an atomic rename.
 
     A reader never sees a half-written file: the path holds either its old
-    content or the complete new document.
+    content or the complete new document. NaN and infinity raise ValueError,
+    because RFC 8259 JSON has no token for them.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(obj, indent=indent))
+    tmp.write_text(json.dumps(obj, indent=indent, allow_nan=False))
     os.replace(tmp, path)
 
 

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .dynsys import (
     DynamicalSystem,
@@ -210,6 +209,12 @@ def _as_box(box, n):
     return box
 
 
+def _uniform_in_box(box, count, seed):
+    """`count` points drawn uniformly from an (n, 2) box."""
+    unit = np.random.default_rng(seed).random((count, box.shape[0]))
+    return box[:, 0] + unit * (box[:, 1] - box[:, 0])
+
+
 def find_equilibria(
     sys: DynamicalSystem,
     box,
@@ -222,17 +227,15 @@ def find_equilibria(
 ) -> list[EquilibriumReport]:
     """Multi-start damped-Newton search for equilibria inside a box.
 
-    Starts are scrambled-Halton points, so the result is deterministic for a
-    given seed. Converged points are sorted lexicographically and then
-    deduplicated (distance below 1e-6 * (1 + |x|)), which makes the output
-    independent of start order.
+    Starts are drawn uniformly from the box by numpy's Generator seeded
+    with `seed`, so the result is deterministic for a given seed. Converged
+    points are sorted lexicographically and then deduplicated (distance
+    below 1e-6 * (1 + |x|)), which makes the output independent of start
+    order.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
-    box = _as_box(box, sys.n)
-    sampler = qmc.Halton(d=sys.n, scramble=True, seed=seed)
-    unit = sampler.random(n_starts)
-    starts = box[:, 0] + unit * (box[:, 1] - box[:, 0])
+    starts = _uniform_in_box(_as_box(box, sys.n), n_starts, seed)
 
     # kinks crossed mid-iteration are expected; the convention is fixed
     with warnings.catch_warnings():
@@ -272,9 +275,10 @@ def verify_dependence(
 ) -> DependenceVerdict:
     """Monte Carlo check of a declared component relation over a box.
 
-    Samples quasi-random states and tests |sum_i c_i f_i(x)| against
-    1e-8 * (1 + max_i |f_i(x)|) at each. The relation may hold only on a
-    region (fixed activation pattern); pass that region as the box.
+    Samples states uniformly from the box (numpy's Generator seeded with
+    `seed`) and tests |sum_i c_i f_i(x)| against 1e-8 * (1 + max_i |f_i(x)|)
+    at each. The relation may hold only on a region (fixed activation
+    pattern); pass that region as the box.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -283,8 +287,7 @@ def verify_dependence(
         raise ValueError(
             f"coefficients have shape {c.shape}, expected ({sys.n},)")
     box = _as_box((-5.0, 5.0) if box is None else box, sys.n)
-    sampler = qmc.Halton(d=sys.n, scramble=True, seed=seed)
-    samples = box[:, 0] + sampler.random(n_samples) * (box[:, 1] - box[:, 0])
+    samples = _uniform_in_box(box, n_samples, seed)
     worst = 0.0
     for x in samples:
         f = residual_vector(sys, x)

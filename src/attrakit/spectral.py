@@ -124,10 +124,12 @@ def max_gap_ratio(singular_values) -> float:
 
 
 def spectrum_to_dict(report: SpectrumReport) -> dict:
+    """JSON-ready form; an infinite max_gap_ratio becomes None (JSON null)."""
+    gap = report.max_gap_ratio
     return {
         "singular_values": report.singular_values.tolist(),
         "cv": report.cv,
         "rank": report.numerical_rank,
         "tol": report.tol_used,
-        "max_gap_ratio": report.max_gap_ratio,
+        "max_gap_ratio": gap if np.isfinite(gap) else None,
     }

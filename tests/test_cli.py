@@ -1,8 +1,11 @@
 import csv
 import hashlib
 import json
+import os
 import shlex
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +134,8 @@ def test_simulate_generated_with_snapshots(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["step", "t", "x_1", "x_2", "x_3"]
     assert [r[0] for r in rows[1:]] == ["50", "100", "200"]
+    # every CSV artifact ends its rows in CRLF, as csv.writer does
+    assert (out / "snapshots.csv").read_bytes().count(b"\r\n") == 4
     report = json.loads((out / "slowfast.json").read_text())
     assert set(report) == {"collapse_step", "collapse_speed", "terminal_drift",
                            "endpoint", "converged"}
@@ -194,6 +199,38 @@ def test_simulate_rejects_non_finite_x0(tmp_path, x0):
                  "--x0", x0, "--out-dir", str(out)])
     assert code == 2
     assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("snapshots", ["1,99", "1,x", "2,-1"])
+def test_simulate_rejects_bad_snapshots_before_writing_them(tmp_path, snapshots):
+    out = tmp_path / "run"
+    code = main(["simulate", "--gen", "stratified", "--steps", "5",
+                 "--snapshots", snapshots, "--out-dir", str(out)])
+    assert code == 2
+    # rejected before the run writes anything
+    assert not (out / "snapshots.csv").exists()
+    assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("x0, message", [
+    ("1,2", "--x0 has 2 values, the system dimension is 3"),
+    ("1,a,2", "--x0 must be comma-separated numbers"),
+])
+def test_simulate_rejects_malformed_x0_naming_it(tmp_path, capsys, x0, message):
+    code = main(["simulate", "--gen", "stratified", "--steps", "5",
+                 "--x0", x0, "--out-dir", str(tmp_path / "run")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["simulate", "--t-end", "1", "--dt", "0.1"]])
+def test_non_finite_system_file_is_an_input_error(tmp_path, capsys, argv):
+    system_path = tmp_path / "nan.json"
+    system_path.write_text(json.dumps({"n": 1, "form": "pre_activation", "activation": "tanh",
+                                       "W": [[float("nan")]], "A": [[0.5]], "b": [0.0]}))
+    code = main([argv[0], str(system_path)] + argv[1:] + ["--out-dir", str(tmp_path / "run")])
+    assert code == 2
+    assert "W has non-finite entries" in capsys.readouterr().err
 
 
 def test_simulate_requires_steps_for_discrete(tmp_path):
@@ -278,9 +315,12 @@ def test_svd_report_csv_matrix(tmp_path):
     out = tmp_path / "run"
     code = main(["svd-report", str(matrix_path), "--out-dir", str(out)])
     assert code == 0
-    report = json.loads((out / "spectrum.json").read_text())
+    # the infinite gap past the zero is null: RFC 8259 has no Infinity token
+    report = json.loads((out / "spectrum.json").read_text(),
+                        parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))
     assert report["rank"] == 2
     assert np.allclose(report["singular_values"], [4.0, 3.0, 0.0])
+    assert report["max_gap_ratio"] is None
 
 
 def test_svd_report_system_json(tmp_path):
@@ -321,6 +361,16 @@ def test_analyze_takes_rank_tol():
     parser = build_parser()
     assert parser.parse_args(["analyze", "system.json"]).rank_tol == 1e-8
     assert parser.parse_args(["analyze", "system.json", "--rank-tol", "1e-3"]).rank_tol == 1e-3
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is for tests and scripts
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import attrakit, attrakit.cli, sys; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_readme_recipes_parse():

@@ -163,6 +163,15 @@ def test_dimension_mismatch_rejected():
                         activation="identity", form="pre_activation")
 
 
+@pytest.mark.parametrize("name", ["W", "A", "b"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_system_arrays_rejected(name, bad):
+    arrays = {"W": np.eye(2), "A": np.eye(2), "b": np.zeros(2)}
+    arrays[name][0] = bad
+    with pytest.raises(ValueError, match=f"^{name} has non-finite"):
+        DynamicalSystem(n=2, activation="tanh", form="pre_activation", **arrays)
+
+
 def test_system_json_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     sys1 = make_system(W=rng.standard_normal((3, 3)), A=rng.standard_normal((3, 3)),
@@ -187,6 +196,10 @@ def test_write_json_replaces_whole_file_with_fixed_layout(tmp_path):
     write_json(path, payload)
     assert path.read_text() == json.dumps(payload, indent=2)
     write_json(path, payload, indent=None)
+    assert path.read_text() == json.dumps(payload)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+    with pytest.raises(ValueError):
+        write_json(path, {"gap": float("inf")})
     assert path.read_text() == json.dumps(payload)
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
