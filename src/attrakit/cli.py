@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 construction failure, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -61,6 +60,7 @@ from .simulate import (
     slow_fast_report,
     slow_fast_to_dict,
     trajectory_to_csv,
+    write_csv_rows,
 )
 from .spectral import DEFAULT_RANK_TOL, spectrum_to_dict, svd_spectrum
 
@@ -226,11 +226,9 @@ def cmd_simulate(args):
     if snapshots:
         snap_path = out_dir / "snapshots.csv"
         with open(snap_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "t"] + [f"x_{j + 1}" for j in range(sys_obj.n)])
-            for step in snapshots:
-                writer.writerow([step, f"{traj.times[step]:.17g}"]
-                                + [f"{v:.17g}" for v in traj.states[step]])
+            fh.write(",".join(["step", "t"] + [f"x_{j + 1}" for j in range(sys_obj.n)])
+                     + "\r\n")
+            write_csv_rows(fh, snapshots, [traj.times[snapshots], traj.states[snapshots]])
         outputs.append(snap_path)
     return inputs, outputs
 

@@ -11,11 +11,12 @@ collapse.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynsys import Activation, DynamicalSystem, SystemForm, eval_field
+from .dynsys import Activation, DynamicalSystem, SystemForm, _check_state, bound_field
 
 __all__ = [
     "Trajectory",
@@ -27,10 +28,15 @@ __all__ = [
     "sine_map_system",
     "trajectory_to_csv",
     "trajectory_from_csv",
+    "write_csv_rows",
     "slow_fast_to_dict",
 ]
 
 DIVERGENCE_NORM = 1e12
+
+# rows formatted and written per write call: enough to amortise the call,
+# few enough that the block's Python floats stay a small share of memory
+_CSV_BLOCK_ROWS = 256
 
 
 class DivergenceError(RuntimeError):
@@ -86,22 +92,28 @@ class SlowFastReport:
     converged: bool
 
 
+def _norm(v: np.ndarray) -> float:
+    # what np.linalg.norm computes for a 1-D float vector, without its dispatch
+    return math.sqrt(v.dot(v))
+
+
 def iterate_map(sys: DynamicalSystem, x0, steps: int) -> Trajectory:
     """Iterate a discrete map, recording every state and step speed."""
     if sys.form is not SystemForm.discrete_map:
         raise ValueError("iterate_map needs a discrete_map system")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    x = np.asarray(x0, dtype=float)
+    field = bound_field(sys)
     states = np.empty((steps + 1, sys.n))
     speeds = np.empty(steps)
-    states[0] = x
+    states[0] = _check_state(sys, x0)
+    x = states[0]
     for t in range(steps):
-        x_next = eval_field(sys, states[t])
-        if not float(np.linalg.norm(x_next)) <= DIVERGENCE_NORM:  # NaN fails too
-            raise DivergenceError(t + 1, states[t].copy())
-        speeds[t] = np.linalg.norm(x_next - states[t])
-        states[t + 1] = x_next
+        x_next = field(x)
+        if not _norm(x_next) <= DIVERGENCE_NORM:  # NaN fails too
+            raise DivergenceError(t + 1, x.copy())
+        speeds[t] = _norm(x_next - x)
+        states[t + 1] = x = x_next
     return Trajectory(states=states, times=np.arange(steps + 1, dtype=float),
                       speeds=speeds, kind="discrete")
 
@@ -110,7 +122,8 @@ def integrate_rk4(sys: DynamicalSystem, x0, t_end: float, h: float) -> Trajector
     """Classical fixed-step RK4 from 0 to t_end.
 
     The step is snapped to t_end / round(t_end / h) so the final time is hit
-    exactly; halving h quarters the local error twice over (order 4).
+    exactly; halving h quarters the local error twice over (order 4). Each
+    state's speed is the norm of its first stage, the field at that state.
     """
     if sys.form is SystemForm.discrete_map:
         raise ValueError("integrate_rk4 needs a continuous-form system")
@@ -118,19 +131,23 @@ def integrate_rk4(sys: DynamicalSystem, x0, t_end: float, h: float) -> Trajector
         raise ValueError("t_end and h must be positive")
     n_steps = max(1, int(round(t_end / h)))
     dt = t_end / n_steps
+    half, sixth = 0.5 * dt, dt / 6.0
+    field = bound_field(sys)
     states = np.empty((n_steps + 1, sys.n))
-    states[0] = np.asarray(x0, dtype=float)
+    speeds = np.empty(n_steps + 1)
+    states[0] = _check_state(sys, x0)
+    x = states[0]
     for t in range(n_steps):
-        x = states[t]
-        k1 = eval_field(sys, x)
-        k2 = eval_field(sys, x + 0.5 * dt * k1)
-        k3 = eval_field(sys, x + 0.5 * dt * k2)
-        k4 = eval_field(sys, x + dt * k3)
-        x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not float(np.linalg.norm(x_next)) <= DIVERGENCE_NORM:  # NaN fails too
+        k1 = field(x)
+        speeds[t] = _norm(k1)
+        k2 = field(x + half * k1)
+        k3 = field(x + half * k2)
+        k4 = field(x + dt * k3)
+        x_next = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not _norm(x_next) <= DIVERGENCE_NORM:  # NaN fails too
             raise DivergenceError(t + 1, x.copy())
-        states[t + 1] = x_next
-    speeds = np.array([np.linalg.norm(eval_field(sys, s)) for s in states])
+        states[t + 1] = x = x_next
+    speeds[n_steps] = _norm(field(x))
     return Trajectory(states=states, times=dt * np.arange(n_steps + 1),
                       speeds=speeds, kind="continuous")
 
@@ -188,42 +205,77 @@ def sine_map_system(n: int = 3, top: float = 1.0, ratio: float = 100.0,
                            activation=Activation.sine, form=SystemForm.discrete_map)
 
 
+def write_csv_rows(fh, steps, columns, end: str = "\r\n") -> None:
+    """Write `step,v_1,...,v_k` CSV rows ending in `end` to fh.
+
+    steps (a sequence of integers, a range too) gives each row's first
+    cell; the values come from the aligned 1-D or 2-D arrays in columns
+    and are printed with `%.17g` (a bit-exact round trip). Rows are
+    formatted and written in blocks of _CSV_BLOCK_ROWS, so no table of
+    the whole output is built.
+    """
+    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+    fmt = "%d" + ",%.17g" * width + end
+    for lo in range(0, len(steps), _CSV_BLOCK_ROWS):
+        hi = lo + _CSV_BLOCK_ROWS
+        block = np.column_stack([steps[lo:hi]] + [c[lo:hi] for c in columns])
+        fh.write("".join([fmt % tuple(row) for row in block.tolist()]))
+
+
 def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write `step,t,x_1,...,x_n,speed` rows with 17 significant digits.
+    """Write `step,t,x_1,...,x_n,speed` CRLF rows with 17 significant digits.
 
     For discrete trajectories the speed column holds the displacement of
     the step arriving at the row's state; the first row's cell is empty.
     """
-    n = traj.states.shape[1]
+    n_states, n = traj.states.shape
+    steps = range(n_states)
     header = ["step", "t"] + [f"x_{j + 1}" for j in range(n)] + ["speed"]
-
-    def fmt(v: float) -> str:
-        return f"{v:.17g}"
-
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, (t, x) in enumerate(zip(traj.times, traj.states)):
-            if traj.kind == "discrete":
-                speed = "" if i == 0 else fmt(traj.speeds[i - 1])
-            else:
-                speed = fmt(traj.speeds[i])
-            writer.writerow([i, fmt(t)] + [fmt(v) for v in x] + [speed])
+        fh.write(",".join(header) + "\r\n")
+        if traj.kind == "discrete":
+            # the first state has no arriving step, so its speed cell is empty
+            write_csv_rows(fh, steps[:1], [traj.times[:1], traj.states[:1]], end=",\r\n")
+            write_csv_rows(fh, steps[1:], [traj.times[1:], traj.states[1:], traj.speeds])
+        else:
+            write_csv_rows(fh, steps, [traj.times, traj.states, traj.speeds])
 
 
 def trajectory_from_csv(path) -> Trajectory:
+    """Read a trajectory written by trajectory_to_csv.
+
+    Raises ValueError naming the line when the file has no data rows, when
+    a row's cell count differs from the header's, or when a cell is not a
+    number (only a discrete trajectory's first speed cell may be empty).
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader]
+    if not rows:
+        raise ValueError(f"{path}: line 1: no header")
+    header = rows[0][1]
+    if len(header) < 4:
+        raise ValueError(f"{path}: line 1: header has {len(header)} cells, "
+                         "expected step,t,x_1,...,x_n,speed")
+    if len(rows) == 1:
+        raise ValueError(f"{path}: line 2: no data rows after the header")
     n = len(header) - 3
-    states = np.array([[float(v) for v in row[2:2 + n]] for row in body])
-    times = np.array([float(row[1]) for row in body])
-    kind = "discrete" if body[0][-1] == "" else "continuous"
-    if kind == "discrete":
-        speeds = np.array([float(row[-1]) for row in body[1:]])
-    else:
-        speeds = np.array([float(row[-1]) for row in body])
-    return Trajectory(states=states, times=times, speeds=speeds, kind=kind)
+    discrete = rows[1][1][-1:] == [""]
+    times, states, speeds = [], [], []
+    for i, (line, row) in enumerate(rows[1:]):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {line}: {len(row)} cells, "
+                             f"the header has {len(header)}")
+        try:
+            times.append(float(row[1]))
+            states.append([float(v) for v in row[2:2 + n]])
+            if not (discrete and i == 0):
+                speeds.append(float(row[-1]))
+        except ValueError as err:
+            raise ValueError(f"{path}: line {line}: {err}") from None
+    return Trajectory(states=np.array(states), times=np.array(times),
+                      speeds=np.array(speeds),
+                      kind="discrete" if discrete else "continuous")
 
 
 def slow_fast_to_dict(report: SlowFastReport) -> dict:

@@ -136,6 +136,13 @@ def test_simulate_generated_with_snapshots(tmp_path):
     assert [r[0] for r in rows[1:]] == ["50", "100", "200"]
     # every CSV artifact ends its rows in CRLF, as csv.writer does
     assert (out / "snapshots.csv").read_bytes().count(b"\r\n") == 4
+    # each snapshot row is its trajectory row, byte for byte, less the speed cell
+    traj_lines = (out / "trajectory.csv").read_bytes().split(b"\r\n")
+    snap_lines = (out / "snapshots.csv").read_bytes().split(b"\r\n")
+    assert snap_lines[0] == traj_lines[0].rsplit(b",", 1)[0]
+    for line, step in zip(snap_lines[1:], (50, 100, 200)):
+        assert line == traj_lines[step + 1].rsplit(b",", 1)[0]
+    assert snap_lines[-1] == b""
     report = json.loads((out / "slowfast.json").read_text())
     assert set(report) == {"collapse_step", "collapse_speed", "terminal_drift",
                            "endpoint", "converged"}
