@@ -19,6 +19,7 @@ __all__ = [
     "make_system",
     "eval_field",
     "bound_field",
+    "bound_jacobian",
     "jacobian_analytic",
     "jacobian_fd",
     "system_to_dict",
@@ -132,25 +133,35 @@ def _check_state(sys: DynamicalSystem, x) -> np.ndarray:
 
 def eval_field(sys: DynamicalSystem, x) -> np.ndarray:
     """Right-hand side at x (the next state, for discrete maps)."""
-    x = _check_state(sys, x)
-    act = sys.activation
-    if sys.form is SystemForm.post_activation:
-        return -x + sys.W @ act(x) + sys.b
-    return act(sys.W @ x + sys.b) - sys.A @ x
+    return bound_field(sys)(_check_state(sys, x))
 
 
 def bound_field(sys: DynamicalSystem):
-    """eval_field with the system bound once, for per-step loops.
-
-    The returned function takes a checked float state of shape (n,) and
-    skips the state check and the form and activation dispatch; its values
-    are bit-identical to eval_field's.
-    """
+    """eval_field with sys bound once, as a function of one checked state."""
     act = _VALUE[sys.activation]
     W, A, b = sys.W, sys.A, sys.b
     if sys.form is SystemForm.post_activation:
         return lambda x: -x + W @ act(x) + b
     return lambda x: act(W @ x + b) - A @ x
+
+
+def bound_jacobian(sys: DynamicalSystem):
+    """jacobian_analytic with sys bound once and no KinkWarning."""
+    deriv = _DERIV[sys.activation]
+    W, A, b = sys.W, sys.A, sys.b
+    if sys.form is SystemForm.post_activation:
+        eye = np.eye(sys.n)
+        return lambda x: W * deriv(x) - eye
+    return lambda x: deriv(W @ x + b)[:, None] * W - A
+
+
+def _warn_on_kink(sys: DynamicalSystem, x: np.ndarray) -> None:
+    """KinkWarning for the public caller's caller if x sits on a relu kink."""
+    if sys.activation is Activation.relu:
+        arg = x if sys.form is SystemForm.post_activation else sys.W @ x + sys.b
+        if np.any(arg == 0.0):
+            warnings.warn("relu kink hit exactly; derivative 0 used at the kink",
+                          KinkWarning, stacklevel=3)
 
 
 def jacobian_analytic(sys: DynamicalSystem, x) -> np.ndarray:
@@ -160,16 +171,8 @@ def jacobian_analytic(sys: DynamicalSystem, x) -> np.ndarray:
     relu argument coordinate is exactly zero.
     """
     x = _check_state(sys, x)
-    act = sys.activation
-    post = sys.form is SystemForm.post_activation
-    arg = x if post else sys.W @ x + sys.b
-    if act is Activation.relu and np.any(arg == 0.0):
-        warnings.warn("relu kink hit exactly; derivative 0 used at the kink",
-                      KinkWarning, stacklevel=2)
-    d = act.deriv(arg)
-    if post:
-        return sys.W * d - np.eye(sys.n)
-    return d[:, None] * sys.W - sys.A
+    _warn_on_kink(sys, x)
+    return bound_jacobian(sys)(x)
 
 
 def jacobian_fd(sys: DynamicalSystem, x, h: float | None = None) -> np.ndarray:

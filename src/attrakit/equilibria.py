@@ -8,17 +8,17 @@ dimension minus the numerical rank of the residual Jacobian there.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynsys import (
     DynamicalSystem,
-    KinkWarning,
     SystemForm,
-    eval_field,
-    jacobian_analytic,
+    _check_state,
+    _warn_on_kink,
+    bound_field,
+    bound_jacobian,
 )
 from .spectral import DEFAULT_RANK_TOL, SpectrumReport, spectrum_to_dict, svd_spectrum
 
@@ -62,20 +62,25 @@ class InconsistentWitnessError(ValueError):
     """Jacobian rank at the witness disagrees with the declared dependence."""
 
 
+def _bound_residual(sys: DynamicalSystem):
+    """residual_vector and residual_jacobian with sys bound once, kinks silent."""
+    field, jac = bound_field(sys), bound_jacobian(sys)
+    if sys.form is not SystemForm.discrete_map:
+        return field, jac
+    eye = np.eye(sys.n)
+    return (lambda x: field(x) - x), (lambda x: jac(x) - eye)
+
+
 def residual_vector(sys: DynamicalSystem, x) -> np.ndarray:
     """F(x) whose zeros are the system's equilibria/fixed points."""
-    f = eval_field(sys, x)
-    if sys.form is SystemForm.discrete_map:
-        return f - np.asarray(x, dtype=float)
-    return f
+    return _bound_residual(sys)[0](_check_state(sys, x))
 
 
 def residual_jacobian(sys: DynamicalSystem, x) -> np.ndarray:
-    """Jacobian of residual_vector at x."""
-    J = jacobian_analytic(sys, x)
-    if sys.form is SystemForm.discrete_map:
-        return J - np.eye(sys.n)
-    return J
+    """Jacobian of residual_vector at x, with jacobian_analytic's KinkWarning."""
+    x = _check_state(sys, x)
+    _warn_on_kink(sys, x)
+    return _bound_residual(sys)[1](x)
 
 
 @dataclass(frozen=True)
@@ -142,9 +147,9 @@ def _classify_stability(sys, residual_eigs, eta):
     return STABLE, 0
 
 
-def _build_report(sys, x, rel_tol, eta, pinv_fallback=False):
-    res = float(np.linalg.norm(residual_vector(sys, x)))
-    spectrum_report = svd_spectrum(residual_jacobian(sys, x), rel_tol=rel_tol)
+def _build_report(sys, F, DF, x, rel_tol, eta, pinv_fallback):
+    res = float(np.linalg.norm(F(x)))
+    spectrum_report = svd_spectrum(DF(x), rel_tol=rel_tol)
     stability, marginal_count = _classify_stability(sys, spectrum_report.eigenvalues, eta)
     x = np.array(x, dtype=float)
     x.setflags(write=False)
@@ -159,8 +164,8 @@ def _build_report(sys, x, rel_tol, eta, pinv_fallback=False):
     )
 
 
-def _newton_refine(sys, x0, tol, max_iter=100, max_halvings=30):
-    """Damped Newton on the residual map from one start.
+def _newton_refine(F, DF, x0, tol, max_iter=100, max_halvings=30):
+    """Damped Newton on the residual map F, with Jacobian DF, from one start.
 
     Falls back to a least-squares (pseudo-inverse) step when the Jacobian is
     numerically singular, which is the expected case near a continuum of
@@ -168,32 +173,28 @@ def _newton_refine(sys, x0, tol, max_iter=100, max_halvings=30):
     """
     x = np.array(x0, dtype=float)
     pinv_used = False
-    r = residual_vector(sys, x)
+    r = F(x)
     rn = float(np.linalg.norm(r))
     for _ in range(max_iter):
         if rn <= tol:
             return x, True, pinv_used
-        J = residual_jacobian(sys, x)
+        J = DF(x)
         s = np.linalg.svd(J, compute_uv=False)
-        if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
+        if s[-1] <= 1e-10 * s[0]:
             step = -np.linalg.lstsq(J, r, rcond=1e-10)[0]
             pinv_used = True
         else:
             step = np.linalg.solve(J, -r)
         if not np.all(np.isfinite(step)):
             return x, rn <= tol, pinv_used
-        alpha = 1.0
-        accepted = False
-        for _ in range(max_halvings + 1):
-            xn = x + alpha * step
-            r_new = residual_vector(sys, xn)
+        for halvings in range(max_halvings + 1):
+            xn = x + 0.5**halvings * step
+            r_new = F(xn)
             rn_new = float(np.linalg.norm(r_new))
             if rn_new < rn:
                 x, r, rn = xn, r_new, rn_new
-                accepted = True
                 break
-            alpha *= 0.5
-        if not accepted:
+        else:
             break
     return x, rn <= tol, pinv_used
 
@@ -236,11 +237,9 @@ def find_equilibria(
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
     starts = _uniform_in_box(_as_box(box, sys.n), n_starts, seed)
-
-    # kinks crossed mid-iteration are expected; the convention is fixed
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", KinkWarning)
-        results = [_newton_refine(sys, x0, tol) for x0 in starts]
+    # kinks crossed mid-iteration are expected; DF applies the convention silently
+    F, DF = _bound_residual(sys)
+    results = [_newton_refine(F, DF, x0, tol) for x0 in starts]
 
     converged = [(x, pinv) for x, ok, pinv in results if ok]
     converged.sort(key=lambda item: tuple(item[0]))
@@ -250,9 +249,7 @@ def find_equilibria(
         if all(np.linalg.norm(x - y) >= limit for y, _ in kept):
             kept.append((x, pinv))
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", KinkWarning)
-        return [_build_report(sys, x, rel_tol, eta, pinv) for x, pinv in kept]
+    return [_build_report(sys, F, DF, x, rel_tol, eta, pinv) for x, pinv in kept]
 
 
 def attractor_dimension(sys: DynamicalSystem, x_star, rel_tol: float = DEFAULT_RANK_TOL,

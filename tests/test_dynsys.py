@@ -19,6 +19,7 @@ from attrakit.dynsys import (
     system_from_dict,
     write_json,
 )
+from attrakit.equilibria import attractor_dimension, residual_jacobian
 
 SMOOTH = [Activation.identity, Activation.tanh, Activation.sine, Activation.logistic]
 
@@ -130,6 +131,17 @@ def test_kink_warning_and_fd_disagreement_at_kink():
     Jf = jacobian_fd(sys1, [0.0], h=1e-6)
     assert abs(Jf[0, 0] - 0.5) < 1e-9
     assert abs(Jf[0, 0] - J[0, 0]) > 0.4
+
+
+def test_kink_warning_names_the_callers_line():
+    sys1 = make_system(W=[[1.0]], A=[[0.0]], b=[0.0],
+                       activation=Activation.relu, form=SystemForm.pre_activation)
+    for jacobian in (jacobian_analytic, residual_jacobian):
+        with pytest.warns(KinkWarning) as caught:
+            jacobian(sys1, [0.0])
+        assert [w.filename for w in caught] == [__file__]
+    with pytest.warns(KinkWarning):
+        assert attractor_dimension(sys1, [0.0]) == 1
 
 
 def test_eval_field_is_deterministic():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,10 @@ from attrakit.equilibria import (
     FunctionalDependence,
     InconsistentWitnessError,
     NotAnEquilibriumError,
+    _as_box,
+    _bound_residual,
+    _newton_refine,
+    _uniform_in_box,
     attractor_dimension,
     dimension_from_dependence,
     find_equilibria,
@@ -17,6 +23,7 @@ from attrakit.equilibria import (
     residual_vector,
     verify_dependence,
 )
+from attrakit.spectral import spectrum_to_dict, svd_spectrum
 
 
 def tanh_system():
@@ -264,3 +271,114 @@ def test_discrete_map_fixed_points():
     assert abs(reports[0].point[0]) <= 1e-10
     assert reports[0].stability == STABLE
     assert reports[0].attractor_dim == 0
+
+
+def reference_residual(sys, x):
+    """The residual map written out through the checked Activation API."""
+    act = sys.activation
+    if sys.form is SystemForm.post_activation:
+        f = -x + sys.W @ act(x) + sys.b
+    else:
+        f = act(sys.W @ x + sys.b) - sys.A @ x
+    return f - x if sys.form is SystemForm.discrete_map else f
+
+
+def reference_residual_jacobian(sys, x):
+    post = sys.form is SystemForm.post_activation
+    d = sys.activation.deriv(x if post else sys.W @ x + sys.b)
+    J = sys.W * d - np.eye(sys.n) if post else d[:, None] * sys.W - sys.A
+    return J - np.eye(sys.n) if sys.form is SystemForm.discrete_map else J
+
+
+def reference_newton_refine(sys, x0, tol, max_iter=100, max_halvings=30):
+    """Damped Newton with one residual and Jacobian evaluation per call, as a reference."""
+    x = np.array(x0, dtype=float)
+    pinv_used = False
+    r = reference_residual(sys, x)
+    rn = float(np.linalg.norm(r))
+    for _ in range(max_iter):
+        if rn <= tol:
+            return x, True, pinv_used
+        J = reference_residual_jacobian(sys, x)
+        s = np.linalg.svd(J, compute_uv=False)
+        if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
+            step = -np.linalg.lstsq(J, r, rcond=1e-10)[0]
+            pinv_used = True
+        else:
+            step = np.linalg.solve(J, -r)
+        if not np.all(np.isfinite(step)):
+            return x, rn <= tol, pinv_used
+        alpha = 1.0
+        accepted = False
+        for _ in range(max_halvings + 1):
+            xn = x + alpha * step
+            r_new = reference_residual(sys, xn)
+            rn_new = float(np.linalg.norm(r_new))
+            if rn_new < rn:
+                x, r, rn = xn, r_new, rn_new
+                accepted = True
+                break
+            alpha *= 0.5
+        if not accepted:
+            break
+    return x, rn <= tol, pinv_used
+
+
+def newton_cases():
+    rng = np.random.default_rng(41)
+    cases = []
+    for form in SystemForm:
+        for activation in (Activation.relu, Activation.tanh):
+            W = rng.standard_normal((4, 4))
+            sys4 = make_system(W=W, A=np.eye(4), b=0.3 * rng.standard_normal(4),
+                               activation=activation, form=form)
+            cases.append((sys4, (-3.0, 3.0), 32))
+    # dx/dt = -x + relu(x) + 1 has no zero, and a zero Jacobian for x > 0
+    stuck = make_system(W=[[1.0]], A=[[1.0]], b=[1.0],
+                        activation=Activation.relu, form=SystemForm.post_activation)
+    cases.append((stuck, (-3.0, 3.0), 8))
+    ca = construct_relu_attractor(p=5, z=3, m=2, seed=9)
+    pts = sample_attractor_points(ca, 30, seed=2)
+    box = np.stack([pts.min(axis=0) - 1.0, pts.max(axis=0) + 1.0], axis=1)
+    cases.append((ca.sys, box, 40))
+    return cases
+
+
+def test_bound_newton_matches_per_call_reference():
+    outcomes = []
+    for sys1, box, n_starts in newton_cases():
+        F, DF = _bound_residual(sys1)
+        starts = _uniform_in_box(_as_box(box, sys1.n), n_starts, 11)
+        for x0 in starts:
+            x, ok, pinv = _newton_refine(F, DF, x0, 1e-10)
+            x_ref, ok_ref, pinv_ref = reference_newton_refine(sys1, x0, 1e-10)
+            assert np.array_equal(x, x_ref)
+            assert (ok, pinv) == (ok_ref, pinv_ref)
+            outcomes.append((sys1.form, ok, pinv))
+        reports = find_equilibria(sys1, box, n_starts, seed=11)
+        for r in reports:
+            assert r.residual == float(np.linalg.norm(reference_residual(sys1, r.point)))
+            J = reference_residual_jacobian(sys1, r.point)
+            assert spectrum_to_dict(r.spectrum) == spectrum_to_dict(svd_spectrum(J))
+    # every branch was taken: converged and not, pinv step and plain solve
+    assert {(ok, pinv) for _, ok, pinv in outcomes} == {
+        (True, True), (True, False), (False, True), (False, False)}
+    assert {form for form, ok, _ in outcomes if ok} == set(SystemForm)
+
+
+def test_find_equilibria_is_silent_on_relu_kinks():
+    ca = construct_relu_attractor(p=5, z=3, m=2, seed=9)
+    pts = sample_attractor_points(ca, 30, seed=2)
+    box = np.stack([pts.min(axis=0) - 1.0, pts.max(axis=0) + 1.0], axis=1)
+    # the line system's equilibria have x_2 = 0, the kink, up to the residual tolerance
+    W = np.array([[1.0, 0.0, 0.0],
+                  [0.0, 0.5, 0.0],
+                  [-0.5, 0.0, 0.0]])
+    line = make_system(W=W, A=np.eye(3), b=[0.0, 0.0, -1.0],
+                       activation=Activation.relu, form=SystemForm.post_activation)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert find_equilibria(ca.sys, box=box, n_starts=40, seed=11)
+        on_kink = find_equilibria(line, box=(-3.0, 3.0), n_starts=16, seed=0)
+    assert on_kink
+    assert any(r.point[1] == 0.0 for r in on_kink)

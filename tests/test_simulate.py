@@ -1,5 +1,6 @@
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attrakit.construct import construct_relu_attractor
-from attrakit.dynsys import Activation, SystemForm, bound_field, eval_field, make_system
+from attrakit.dynsys import (
+    Activation,
+    KinkWarning,
+    SystemForm,
+    bound_field,
+    bound_jacobian,
+    eval_field,
+    jacobian_analytic,
+    make_system,
+)
 from attrakit.simulate import (
     _CSV_BLOCK_ROWS,
     DivergenceError,
@@ -309,6 +319,22 @@ def test_bound_field_matches_eval_field_bitwise(form, activation):
         field = bound_field(sys_n)
         for x in rng.standard_normal((8, n)):
             assert np.array_equal(field(x), eval_field(sys_n, x))
+
+
+@pytest.mark.parametrize("form", list(SystemForm))
+@pytest.mark.parametrize("activation", list(Activation))
+def test_bound_jacobian_matches_jacobian_analytic_bitwise(form, activation):
+    rng = np.random.default_rng(8)
+    for n in (1, 3, 40):
+        sys_n = random_system(n, activation, form, seed=n)
+        jac = bound_jacobian(sys_n)
+        states = rng.standard_normal((8, n))
+        states[::2, 0] = 0.0  # a relu kink for the post-activation form
+        for x in states:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", KinkWarning)
+                J = jacobian_analytic(sys_n, x)
+            assert np.array_equal(jac(x), J)
 
 
 @pytest.mark.parametrize("n", [1, 3, 40])
