@@ -162,6 +162,14 @@ def _parse_x0(text: str, n: int) -> np.ndarray:
     return x0
 
 
+def _count(text: str) -> int:
+    """argparse type of a count flag: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_snapshots(text: str) -> list[int]:
     try:
         steps = sorted({int(v) for v in text.split(",")})
@@ -211,12 +219,12 @@ def cmd_simulate(args):
     if snapshots and snapshots[-1] >= traj.states.shape[0]:
         raise ValueError(f"snapshot step {snapshots[-1]} outside trajectory "
                          f"(last step {traj.states.shape[0] - 1})")
+    report = slow_fast_report(traj, theta=args.theta, eps_conv=args.eps_conv)
 
     traj_path = out_dir / "trajectory.csv"
     trajectory_to_csv(traj, traj_path)
     outputs.append(traj_path)
 
-    report = slow_fast_report(traj, theta=args.theta, eps_conv=args.eps_conv)
     report_path = out_dir / "slowfast.json"
     write_json(report_path, slow_fast_to_dict(report))
     outputs.append(report_path)
@@ -374,15 +382,15 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--mnist", nargs=2, metavar=("IMAGES", "LABELS"))
     p.add_argument("--classes", type=int, default=3)
     p.add_argument("--dim", type=int, default=12)
-    p.add_argument("--per-class", type=int, default=1000)
+    p.add_argument("--per-class", type=_count, default=1000)
     p.add_argument("--separation", type=float, default=6.0)
-    p.add_argument("--max", type=int, default=None)
+    p.add_argument("--max", type=_count, default=None)
     p.add_argument("--holdout-digit", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=5)
+    p.add_argument("--epochs", type=_count, default=5)
     p.add_argument("--lr", type=float, default=0.02)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--probes-per-category", type=int, default=48)
-    p.add_argument("--samples-per-group", type=int, default=50)
+    p.add_argument("--batch-size", type=_count, default=32)
+    p.add_argument("--probes-per-category", type=_count, default=48)
+    p.add_argument("--samples-per-group", type=_count, default=50)
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("svd-report", parents=[common, rank_tol],

@@ -98,7 +98,7 @@ class DynamicalSystem:
             raise ValueError(f"state dimension must be positive, got {n}")
         W = np.array(self.W, dtype=float)
         A = np.array(self.A, dtype=float)
-        b = np.array(self.b, dtype=float).reshape(-1)
+        b = np.atleast_1d(np.array(self.b, dtype=float))
         if W.shape != (n, n):
             raise ValueError(f"W has shape {W.shape}, expected ({n}, {n})")
         if A.shape != (n, n):
@@ -201,11 +201,27 @@ def system_to_dict(sys: DynamicalSystem) -> dict:
     }
 
 
+def _json_numbers(name: str, value) -> np.ndarray:
+    """A JSON array of numbers as a float array; any other entry is a ValueError."""
+    arr = np.array(value, dtype=object)
+    if not all(type(v) in (int, float) for v in arr.flat):
+        raise ValueError(f"{name} must be an array of numbers")
+    try:
+        return arr.astype(float)
+    except OverflowError:
+        raise ValueError(f"{name} has non-finite entries") from None
+
+
 def system_from_dict(d: dict) -> DynamicalSystem:
+    if not isinstance(d, dict):
+        raise ValueError("system definition must be a JSON object")
     missing = {"n", "form", "activation", "W", "A", "b"} - set(d)
     if missing:
         raise ValueError(f"system definition missing keys: {sorted(missing)}")
-    return DynamicalSystem(n=d["n"], W=d["W"], A=d["A"], b=d["b"],
+    if type(d["n"]) is not int:
+        raise ValueError(f"n must be an integer, got {d['n']!r}")
+    W, A, b = (_json_numbers(name, d[name]) for name in ("W", "A", "b"))
+    return DynamicalSystem(n=d["n"], W=W, A=A, b=b,
                            activation=d["activation"], form=d["form"])
 
 

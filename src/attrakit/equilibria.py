@@ -201,6 +201,8 @@ def _newton_refine(F, DF, x0, tol, max_iter=100, max_halvings=30):
 
 def _as_box(box, n):
     box = np.asarray(box, dtype=float)
+    if not np.all(np.isfinite(box)):
+        raise ValueError(f"box bounds must be finite, got {box.tolist()}")
     if box.shape == (2,):
         box = np.tile(box, (n, 1))
     if box.shape != (n, 2):

@@ -256,6 +256,8 @@ def load_idx(images_path, labels_path, max_items: int | None = None) -> Dataset:
         raise IdxFormatError(
             f"image count {images.shape[0]} != label count {labels.shape[0]}")
     if max_items is not None:
+        if max_items < 1:
+            raise ValueError(f"max_items must be >= 1, got {max_items}")
         images = images[:max_items]
         labels = labels[:max_items]
     inputs = images.reshape(images.shape[0], -1).astype(float) / 255.0
@@ -509,13 +511,16 @@ class GroupCvStats:
 def stratification_study(net: TinyNet, groups: dict[str, np.ndarray],
                          samples_per_group: int = 50) -> list[GroupCvStats]:
     """Per-group cv statistics of the logits-Jacobian singular values."""
+    if samples_per_group < 1:
+        raise ValueError(f"samples_per_group must be >= 1, got {samples_per_group}")
     out = []
     for name, samples in groups.items():
-        samples = np.atleast_2d(np.asarray(samples, dtype=float))
-        if samples.shape[0] == 0:
+        samples = np.asarray(samples, dtype=float)
+        # counted before atleast_2d, which turns an empty 1-D group into one empty row
+        if samples.size == 0:
             warnings.warn(f"group {name!r} is empty, skipped", stacklevel=2)
             continue
-        svs, cvs = _logit_spectra(net, samples[:samples_per_group])
+        svs, cvs = _logit_spectra(net, np.atleast_2d(samples)[:samples_per_group])
         out.append(GroupCvStats(group=name, cvs=cvs, singular_values=list(svs)))
     return out
 

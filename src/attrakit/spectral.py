@@ -88,8 +88,8 @@ def eig_spectrum(M) -> np.ndarray:
 def numerical_rank(singular_values, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     """Count singular values above rel_tol * largest (0 if all are zero)."""
     s = np.atleast_1d(np.asarray(singular_values, dtype=float))
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+    if not 0.0 < rel_tol < np.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     if s.size == 0:
         return 0
     if np.any(s < 0):

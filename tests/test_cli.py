@@ -1,5 +1,8 @@
+import contextlib
+import copy
 import csv
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -10,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attrakit.cli import build_parser, main, subseed
 from attrakit.dynsys import Activation, SystemForm, make_system, save_system
@@ -116,6 +121,78 @@ def test_analyze_rejects_degenerate_box(tmp_path):
     code = main(["analyze", str(system_path), "--box", "1", "1",
                  "--out-dir", str(tmp_path / "run")])
     assert code == 2
+
+
+@pytest.mark.parametrize("box", [["nan", "5"], ["-5", "inf"]])
+def test_analyze_rejects_non_finite_box(tmp_path, capsys, box):
+    system_path = tmp_path / "tanh.json"
+    write_tanh_system(system_path)
+    out = tmp_path / "run"
+    code = main(["analyze", str(system_path), "--box", *box, "--out-dir", str(out)])
+    assert code == 2
+    assert "box bounds must be finite" in capsys.readouterr().err
+    assert not (out / "equilibria.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["svd-report"]])
+def test_non_finite_rank_tol_is_an_input_error(tmp_path, capsys, argv):
+    system_path = tmp_path / "tanh.json"
+    write_tanh_system(system_path)
+    code = main([argv[0], str(system_path), "--rank-tol", "nan",
+                 "--out-dir", str(tmp_path / "run")])
+    assert code == 2
+    assert "rel_tol must be positive and finite" in capsys.readouterr().err
+
+
+def valid_system_doc():
+    return {"n": 2, "form": "pre_activation", "activation": "tanh",
+            "W": [[1.0, 0.5], [0.0, 1.0]], "A": [[0.5, 0.0], [0.0, 0.5]], "b": [0.0, 0.1]}
+
+
+NOT_A_FINITE_NUMBER = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 10**400, None, True, False]),
+    st.text(max_size=3),
+    st.lists(st.floats(allow_nan=False), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+@st.composite
+def malformed_system_docs(draw):
+    doc = valid_system_doc()
+    edit = draw(st.sampled_from(["drop", "reshape", "entry"]))
+    if edit == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+        return doc
+    name = draw(st.sampled_from(["W", "A", "b"]))
+    arr = np.array(doc[name])
+    if edit == "reshape":
+        shape = draw(st.lists(st.integers(0, 3), max_size=3).map(tuple)
+                     .filter(lambda s: s != arr.shape))
+        doc[name] = np.resize(arr, shape).tolist()
+    else:
+        nested = copy.deepcopy(doc[name])
+        index = draw(st.sampled_from(list(np.ndindex(arr.shape))))
+        parent = nested
+        for i in index[:-1]:
+            parent = parent[i]
+        parent[index[-1]] = draw(NOT_A_FINITE_NUMBER)
+        doc[name] = nested
+    return doc
+
+
+@given(doc=malformed_system_docs())
+@settings(max_examples=80, deadline=None)
+def test_malformed_system_file_is_an_input_error(tmp_path_factory, doc):
+    run = tmp_path_factory.mktemp("malformed")
+    system_path = run / "system.json"
+    system_path.write_text(json.dumps(doc))
+    for argv in (["analyze", str(system_path), "--starts", "1"],
+                 ["simulate", str(system_path), "--steps", "2", "--t-end", "0.1", "--dt", "0.05"]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + ["--out-dir", str(run / "out")])
+        assert code == 2
+        assert err.getvalue().startswith("error: ")
 
 
 def test_analyze_missing_file(tmp_path):
@@ -240,6 +317,17 @@ def test_non_finite_system_file_is_an_input_error(tmp_path, capsys, argv):
     assert "W has non-finite entries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theta", ["0", "1.5"])
+def test_simulate_rejects_theta_before_writing_the_trajectory(tmp_path, capsys, theta):
+    out = tmp_path / "run"
+    code = main(["simulate", "--gen", "stratified", "--steps", "50", "--theta", theta,
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert "theta must lie in (0, 1)" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+    assert not (out / "slowfast.json").exists()
+
+
 def test_simulate_requires_steps_for_discrete(tmp_path):
     out = tmp_path / "run"
     code = main(["simulate", "--gen", "uniform", "--out-dir", str(out)])
@@ -314,6 +402,21 @@ def test_probe_mnist_max_items(tmp_path):
                  "--max", "90", "--epochs", "1", "--seed", "3",
                  "--probes-per-category", "2", "--out-dir", str(out)])
     assert code == 0
+
+
+@pytest.mark.parametrize("flag", ["--samples-per-group", "--probes-per-category", "--max",
+                                  "--per-class", "--epochs", "--batch-size"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_probe_counts_below_one_exit_2_naming_the_flag(tmp_path, capsys, flag, value):
+    img_path, lbl_path = write_idx_fixture(tmp_path, n_classes=3, per_class=4)
+    source = (["--mnist", str(img_path), str(lbl_path)] if flag == "--max"
+              else ["--synthetic"])
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", *source, flag, value, "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_svd_report_csv_matrix(tmp_path):

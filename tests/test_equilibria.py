@@ -382,3 +382,15 @@ def test_find_equilibria_is_silent_on_relu_kinks():
         on_kink = find_equilibria(line, box=(-3.0, 3.0), n_starts=16, seed=0)
     assert on_kink
     assert any(r.point[1] == 0.0 for r in on_kink)
+
+
+@pytest.mark.parametrize("box", [(float("nan"), 5.0), (-5.0, float("inf")),
+                                 [[-1.0, 1.0], [float("-inf"), 1.0]]])
+def test_non_finite_box_is_rejected(box):
+    sys2 = make_system(W=np.eye(2), A=np.eye(2), b=np.zeros(2),
+                       activation=Activation.tanh, form=SystemForm.pre_activation)
+    with pytest.raises(ValueError, match="box bounds must be finite"):
+        find_equilibria(sys2, box=box, n_starts=4)
+    dep = FunctionalDependence(coefficients=[1.0, -1.0], independent_count=1)
+    with pytest.raises(ValueError, match="box bounds must be finite"):
+        verify_dependence(sys2, dep, box=box)

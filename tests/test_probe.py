@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attrakit.dynsys import Activation
 from attrakit.probe import (
@@ -79,6 +81,27 @@ def test_load_idx_truncates_to_max_items(tmp_path):
     data = load_idx(img_path, lbl_path, max_items=4)
     assert data.size == 4
     assert np.array_equal(data.inputs[3], images[3].reshape(-1) / 255.0)
+
+
+@pytest.mark.parametrize("max_items", [0, -1])
+def test_load_idx_rejects_max_items_below_one(tmp_path, max_items):
+    images = np.zeros((3, 2, 2), dtype=np.uint8)
+    img_path, lbl_path = write_idx_pair(tmp_path, images, np.arange(3))
+    with pytest.raises(ValueError, match="max_items must be >= 1"):
+        load_idx(img_path, lbl_path, max_items=max_items)
+
+
+@given(cut_images=st.booleans(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_load_idx_rejects_a_file_cut_at_any_byte(tmp_path_factory, cut_images, data):
+    images = np.arange(3 * 2 * 3, dtype=np.uint8).reshape(3, 2, 3)
+    img_path, lbl_path = write_idx_pair(tmp_path_factory.mktemp("idx"), images,
+                                        np.arange(3))
+    path = img_path if cut_images else lbl_path
+    raw = path.read_bytes()
+    path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")])
+    with pytest.raises(ValueError):
+        load_idx(img_path, lbl_path)
 
 
 def test_load_idx_magic_mismatch(tmp_path):
@@ -411,8 +434,16 @@ def test_stratification_skips_empty_group():
     net = TinyNet.init([6, 8, 3], seed=16)
     with pytest.warns(UserWarning, match="empty"):
         stats = stratification_study(net, {"none": np.zeros((0, 6)),
+                                           "flat": np.array([]),
                                            "ok": np.full((3, 6), 0.5)})
     assert [s.group for s in stats] == ["ok"]
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_stratification_rejects_a_sample_count_below_one(count):
+    net = TinyNet.init([6, 8, 3], seed=16)
+    with pytest.raises(ValueError, match="samples_per_group must be >= 1"):
+        stratification_study(net, {"ok": np.full((3, 6), 0.5)}, samples_per_group=count)
 
 
 def test_group_csv_outputs(tmp_path):

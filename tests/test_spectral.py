@@ -100,6 +100,9 @@ def test_numerical_rank_cases():
         numerical_rank([2.0, -1.0], 1e-8)
     with pytest.raises(ValueError):
         numerical_rank([1.0], 0.0)
+    for rel_tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            numerical_rank([1.0], rel_tol)
 
 
 @given(values=positive_lists, c=st.floats(min_value=0.01, max_value=100.0))
