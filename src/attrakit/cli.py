@@ -30,7 +30,7 @@ from .construct import (
     save_constructed,
     verify_construction,
 )
-from .dynsys import load_system, save_system, write_json
+from .dynsys import _json_numbers, load_system, save_system, write_json
 from .equilibria import find_equilibria, reports_to_json
 from .probe import (
     HELD_OUT_CLASS,
@@ -305,9 +305,9 @@ def cmd_probe(args):
 def _load_matrix(path: Path) -> np.ndarray:
     if path.suffix == ".json":
         d = json.loads(path.read_text())
-        if "W" not in d:
+        if not isinstance(d, dict) or "W" not in d:
             raise ValueError(f"{path}: no 'W' matrix in system file")
-        return np.array(d["W"], dtype=float)
+        return _json_numbers("W", d["W"])
     return np.atleast_2d(np.loadtxt(path, delimiter=","))
 
 

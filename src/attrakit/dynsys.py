@@ -156,7 +156,7 @@ def bound_jacobian(sys: DynamicalSystem):
 
 
 def _warn_on_kink(sys: DynamicalSystem, x: np.ndarray) -> None:
-    """KinkWarning for the public caller's caller if x sits on a relu kink."""
+    """Warn the caller of a public Jacobian function when x sits on a relu kink."""
     if sys.activation is Activation.relu:
         arg = x if sys.form is SystemForm.post_activation else sys.W @ x + sys.b
         if np.any(arg == 0.0):

@@ -443,6 +443,19 @@ def test_svd_report_system_json(tmp_path):
     assert np.allclose(report["singular_values"], [1.0])
 
 
+@pytest.mark.parametrize("document, message", [
+    ({"W": [[{}, 1.0], [0.0, 1.0]]}, "W must be an array of numbers"),
+    ({"W": [["1", 1.0], [0.0, 1.0]]}, "W must be an array of numbers"),
+    (3, "no 'W' matrix"),
+])
+def test_svd_report_rejects_a_malformed_system_file(tmp_path, capsys, document, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    code = main(["svd-report", str(path), "--out-dir", str(tmp_path / "run")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_svd_report_rank_tol_flag(tmp_path):
     matrix_path = tmp_path / "m.csv"
     np.savetxt(matrix_path, np.diag([1.0, 1e-5]), delimiter=",")
