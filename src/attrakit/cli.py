@@ -30,8 +30,8 @@ from .construct import (
     save_constructed,
     verify_construction,
 )
-from .dynsys import _json_numbers, load_system, save_system, write_json
-from .equilibria import find_equilibria, reports_to_json
+from .dynsys import _json_numbers, _write_json, load_system, save_system, write_json
+from .equilibria import _report_to_json, find_equilibria
 from .probe import (
     HELD_OUT_CLASS,
     NATURAL_NOISE,
@@ -81,7 +81,12 @@ def subseed(seed: int, stream: int) -> int:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    # read in blocks, so hashing a large output adds no copy of it to peak memory
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _write_manifest(out_dir: Path, argv, seed, inputs, outputs, duration):
@@ -139,7 +144,8 @@ def cmd_analyze(args):
                               rel_tol=args.rank_tol)
     out_dir = Path(args.out_dir)
     eq_path = out_dir / "equilibria.json"
-    write_json(eq_path, reports_to_json(reports))
+    # each report is turned into JSON as it is written, not the whole list up front
+    _write_json(eq_path, reports, default=_report_to_json)
     print(f"{len(reports)} equilibria in box [{args.box[0]}, {args.box[1]}]^{sys_obj.n}")
     print(f"{'#':>3} {'residual':>12} {'rank':>5} {'dim':>4} "
           f"{'stability':>10} {'grazing':>7}  point")
@@ -167,6 +173,22 @@ def _count(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """argparse type of a tolerance, rate or time flag: a finite number > 0."""
+    value = float(text)
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    """argparse type of a fraction flag: a number in the open interval (0, 1)."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
     return value
 
 
@@ -331,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out-dir", default=".")
     # only the subcommands that measure a numerical rank take a tolerance
     rank_tol = argparse.ArgumentParser(add_help=False)
-    rank_tol.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
+    rank_tol.add_argument("--rank-tol", type=_positive, default=DEFAULT_RANK_TOL)
 
     parser = argparse.ArgumentParser(prog="attrakit",
                                      description="continuous-attractor analysis toolkit")
@@ -367,12 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen-alpha", type=float, default=0.05)
     p.add_argument("--gen-b-scale", type=float, default=0.005)
     p.add_argument("--steps", type=int)
-    p.add_argument("--t-end", type=float)
-    p.add_argument("--dt", type=float)
+    p.add_argument("--t-end", type=_positive)
+    p.add_argument("--dt", type=_positive)
     p.add_argument("--x0", help="comma-separated initial state")
     p.add_argument("--snapshots", help="comma-separated steps to extract")
-    p.add_argument("--theta", type=float, default=0.01)
-    p.add_argument("--eps-conv", type=float, default=1e-9)
+    p.add_argument("--theta", type=_fraction, default=0.01)
+    p.add_argument("--eps-conv", type=_positive, default=1e-9)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("probe", parents=[common],
@@ -387,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=_count, default=None)
     p.add_argument("--holdout-digit", type=int, default=None)
     p.add_argument("--epochs", type=_count, default=5)
-    p.add_argument("--lr", type=float, default=0.02)
+    p.add_argument("--lr", type=_positive, default=0.02)
     p.add_argument("--batch-size", type=_count, default=32)
     p.add_argument("--probes-per-category", type=_count, default=48)
     p.add_argument("--samples-per-group", type=_count, default=50)

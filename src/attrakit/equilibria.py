@@ -47,6 +47,13 @@ UNSTABLE = "unstable"
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_ETA = 1e-6
 
+# Levenberg-Marquardt damping and stop rules of _newton_refine
+_LM_MU_START = 1e-3
+_LM_MU_FLOOR = 1e-12
+_LM_TRIES = 12
+_LM_STALL_STEPS = 5
+_LM_STALL_GAIN = 0.1
+
 
 class NotAnEquilibriumError(ValueError):
     """The supplied point does not satisfy the equilibrium residual bound."""
@@ -91,6 +98,8 @@ class EquilibriumReport:
     attractor_dim: int
     stability: str
     marginal_count: int
+    # the Levenberg-Marquardt search has no pseudo-inverse step; always False,
+    # kept so equilibria.json and its readers keep their layout
     pinv_fallback: bool = False
 
 
@@ -147,7 +156,7 @@ def _classify_stability(sys, residual_eigs, eta):
     return STABLE, 0
 
 
-def _build_report(sys, F, DF, x, rel_tol, eta, pinv_fallback):
+def _build_report(sys, F, DF, x, rel_tol, eta):
     res = float(np.linalg.norm(F(x)))
     spectrum_report = svd_spectrum(DF(x), rel_tol=rel_tol)
     stability, marginal_count = _classify_stability(sys, spectrum_report.eigenvalues, eta)
@@ -160,43 +169,49 @@ def _build_report(sys, F, DF, x, rel_tol, eta, pinv_fallback):
         attractor_dim=sys.n - spectrum_report.numerical_rank,
         stability=stability,
         marginal_count=marginal_count,
-        pinv_fallback=pinv_fallback,
     )
 
 
-def _newton_refine(F, DF, x0, tol, max_iter=100, max_halvings=30):
-    """Damped Newton on the residual map F, with Jacobian DF, from one start.
+def _newton_refine(F, DF, x0, tol, max_iter=100):
+    """Levenberg-Marquardt on the residual map F, with Jacobian DF, from one start.
 
-    Falls back to a least-squares (pseudo-inverse) step when the Jacobian is
-    numerically singular, which is the expected case near a continuum of
-    equilibria. Returns (x, converged, pinv_used).
+    Each iteration solves (J^T J + mu I) step = -J^T r at most _LM_TRIES
+    times, raising mu tenfold after a step that does not lower |F| and
+    lowering it tenfold, to at least _LM_MU_FLOOR, after one that does.
+    The damping keeps the system nonsingular, so a rank-deficient Jacobian
+    near a continuum of equilibria needs no special case. A start stops
+    once |F| <= tol / 10, after _LM_TRIES rejected steps in a row, when its
+    last _LM_STALL_STEPS accepted steps lowered |F| by less than
+    _LM_STALL_GAIN in total (Moré 1978), or after max_iter iterations.
+    Returns (x, converged), converged meaning |F| <= tol.
     """
     x = np.array(x0, dtype=float)
-    pinv_used = False
+    eye = np.eye(x.shape[0])
     r = F(x)
-    rn = float(np.linalg.norm(r))
+    norms = [float(np.linalg.norm(r))]
+    mu = _LM_MU_START
     for _ in range(max_iter):
-        if rn <= tol:
-            return x, True, pinv_used
+        # a decade inside tol, so a start that converges has margin to spare
+        if norms[-1] <= 0.1 * tol:
+            break
         J = DF(x)
-        s = np.linalg.svd(J, compute_uv=False)
-        if s[-1] <= 1e-10 * s[0]:
-            step = -np.linalg.lstsq(J, r, rcond=1e-10)[0]
-            pinv_used = True
-        else:
-            step = np.linalg.solve(J, -r)
-        if not np.all(np.isfinite(step)):
-            return x, rn <= tol, pinv_used
-        for halvings in range(max_halvings + 1):
-            xn = x + 0.5**halvings * step
+        g, JtJ = J.T @ r, J.T @ J
+        for _ in range(_LM_TRIES):
+            xn = x + np.linalg.solve(JtJ + mu * eye, -g)
             r_new = F(xn)
             rn_new = float(np.linalg.norm(r_new))
-            if rn_new < rn:
-                x, r, rn = xn, r_new, rn_new
+            if rn_new < norms[-1]:
+                x, r = xn, r_new
+                norms.append(rn_new)
+                mu = max(0.1 * mu, _LM_MU_FLOOR)
                 break
+            mu *= 10.0
         else:
             break
-    return x, rn <= tol, pinv_used
+        if (len(norms) > _LM_STALL_STEPS
+                and norms[-1] > (1.0 - _LM_STALL_GAIN) * norms[-1 - _LM_STALL_STEPS]):
+            break
+    return x, norms[-1] <= tol
 
 
 def _as_box(box, n):
@@ -228,30 +243,29 @@ def find_equilibria(
     rel_tol: float = DEFAULT_RANK_TOL,
     eta: float = DEFAULT_ETA,
 ) -> list[EquilibriumReport]:
-    """Multi-start damped-Newton search for equilibria inside a box.
+    """Multi-start Levenberg-Marquardt search for equilibria inside a box.
 
-    Starts are drawn uniformly from the box by numpy's Generator seeded
-    with `seed`, so the result is deterministic for a given seed. Converged
-    points are sorted lexicographically and then deduplicated (distance
-    below 1e-6 * (1 + |x|)), which makes the output independent of start
-    order.
+    Each start is refined by _newton_refine and kept if it reaches
+    |F| <= tol. Starts are drawn uniformly from the box by numpy's
+    Generator seeded with `seed`, so the result is deterministic for a
+    given seed. Converged points are sorted lexicographically and then
+    deduplicated (distance below 1e-6 * (1 + |x|)), which makes the output
+    independent of start order.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
     starts = _uniform_in_box(_as_box(box, sys.n), n_starts, seed)
     # kinks crossed mid-iteration are expected; DF applies the convention silently
     F, DF = _bound_residual(sys)
-    results = [_newton_refine(F, DF, x0, tol) for x0 in starts]
-
-    converged = [(x, pinv) for x, ok, pinv in results if ok]
-    converged.sort(key=lambda item: tuple(item[0]))
-    kept: list[tuple[np.ndarray, bool]] = []
-    for x, pinv in converged:
+    results = (_newton_refine(F, DF, x0, tol) for x0 in starts)
+    converged = sorted((x for x, ok in results if ok), key=tuple)
+    kept: list[np.ndarray] = []
+    for x in converged:
         limit = 1e-6 * (1.0 + float(np.linalg.norm(x)))
-        if all(np.linalg.norm(x - y) >= limit for y, _ in kept):
-            kept.append((x, pinv))
+        if all(np.linalg.norm(x - y) >= limit for y in kept):
+            kept.append(x)
 
-    return [_build_report(sys, F, DF, x, rel_tol, eta, pinv) for x, pinv in kept]
+    return [_build_report(sys, F, DF, x, rel_tol, eta) for x in kept]
 
 
 def attractor_dimension(sys: DynamicalSystem, x_star, rel_tol: float = DEFAULT_RANK_TOL,
@@ -328,16 +342,17 @@ def dimension_from_dependence(
     return sys.n - dep.independent_count
 
 
+def _report_to_json(r: EquilibriumReport) -> dict:
+    return {
+        "point": r.point.tolist(),
+        "residual": r.residual,
+        "attractor_dim": r.attractor_dim,
+        "stability": r.stability,
+        "marginal_count": r.marginal_count,
+        "pinv_fallback": r.pinv_fallback,
+        "spectrum": spectrum_to_dict(r.spectrum),
+    }
+
+
 def reports_to_json(reports: list[EquilibriumReport]) -> list[dict]:
-    out = []
-    for r in reports:
-        out.append({
-            "point": r.point.tolist(),
-            "residual": r.residual,
-            "attractor_dim": r.attractor_dim,
-            "stability": r.stability,
-            "marginal_count": r.marginal_count,
-            "pinv_fallback": r.pinv_fallback,
-            "spectrum": spectrum_to_dict(r.spectrum),
-        })
-    return out
+    return [_report_to_json(r) for r in reports]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attrakit.cli import build_parser, main, subseed
+from attrakit.cli import _sha256, build_parser, main, subseed
 from attrakit.dynsys import Activation, SystemForm, make_system, save_system
 from attrakit.probe import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
 
@@ -56,6 +56,14 @@ def test_subseed_is_deterministic_and_stream_separated():
     assert subseed(7, 0) == subseed(7, 0)
     assert subseed(7, 0) != subseed(7, 1)
     assert subseed(7, 0) != subseed(8, 0)
+
+
+@pytest.mark.parametrize("size", [0, 1, (1 << 16) - 1, 1 << 16, 3 * (1 << 16) + 7])
+def test_manifest_hash_reads_blocks_of_any_file_size(tmp_path, size):
+    path = tmp_path / "blob"
+    data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    path.write_bytes(data)
+    assert _sha256(path) == hashlib.sha256(data).hexdigest()
 
 
 def test_construct_writes_files_and_manifest(tmp_path):
@@ -138,10 +146,33 @@ def test_analyze_rejects_non_finite_box(tmp_path, capsys, box):
 def test_non_finite_rank_tol_is_an_input_error(tmp_path, capsys, argv):
     system_path = tmp_path / "tanh.json"
     write_tanh_system(system_path)
-    code = main([argv[0], str(system_path), "--rank-tol", "nan",
-                 "--out-dir", str(tmp_path / "run")])
-    assert code == 2
-    assert "rel_tol must be positive and finite" in capsys.readouterr().err
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], str(system_path), "--rank-tol", "nan", "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "argument --rank-tol: must be a finite number > 0, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["analyze", "SYSTEM"], "--rank-tol"),
+    (["svd-report", "SYSTEM"], "--rank-tol"),
+    (["simulate", "--gen", "stratified", "--steps", "50"], "--eps-conv"),
+    (["simulate", "SYSTEM", "--dt", "0.1"], "--t-end"),
+    (["simulate", "SYSTEM", "--t-end", "1"], "--dt"),
+    (["probe", "--synthetic", "--epochs", "1", "--per-class", "20"], "--lr"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_float_flags_need_a_finite_positive_value(tmp_path, capsys, argv, flag, value):
+    system_path = tmp_path / "tanh.json"
+    write_tanh_system(system_path)
+    argv = [str(system_path) if a == "SYSTEM" else a for a in argv]
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value, "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a finite number > 0, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def valid_system_doc():
@@ -317,15 +348,15 @@ def test_non_finite_system_file_is_an_input_error(tmp_path, capsys, argv):
     assert "W has non-finite entries" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("theta", ["0", "1.5"])
+@pytest.mark.parametrize("theta", ["0", "1.5", "1", "-0.5", "nan"])
 def test_simulate_rejects_theta_before_writing_the_trajectory(tmp_path, capsys, theta):
     out = tmp_path / "run"
-    code = main(["simulate", "--gen", "stratified", "--steps", "50", "--theta", theta,
-                 "--out-dir", str(out)])
-    assert code == 2
-    assert "theta must lie in (0, 1)" in capsys.readouterr().err
-    assert not (out / "trajectory.csv").exists()
-    assert not (out / "slowfast.json").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--gen", "stratified", "--steps", "50", "--theta", theta,
+              "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert f"argument --theta: must lie in (0, 1), got {theta}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_requires_steps_for_discrete(tmp_path):

@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+from attrakit.cli import subseed
 from attrakit.construct import construct_relu_attractor, sample_attractor_points
-from attrakit.dynsys import Activation, SystemForm, make_system
+from attrakit.dynsys import Activation, KinkWarning, SystemForm, make_system
 from attrakit.equilibria import (
     MARGINAL,
     STABLE,
@@ -20,6 +21,7 @@ from attrakit.equilibria import (
     dimension_from_dependence,
     find_equilibria,
     reports_to_json,
+    residual_jacobian,
     residual_vector,
     verify_dependence,
 )
@@ -290,40 +292,6 @@ def reference_residual_jacobian(sys, x):
     return J - np.eye(sys.n) if sys.form is SystemForm.discrete_map else J
 
 
-def reference_newton_refine(sys, x0, tol, max_iter=100, max_halvings=30):
-    """Damped Newton with one residual and Jacobian evaluation per call, as a reference."""
-    x = np.array(x0, dtype=float)
-    pinv_used = False
-    r = reference_residual(sys, x)
-    rn = float(np.linalg.norm(r))
-    for _ in range(max_iter):
-        if rn <= tol:
-            return x, True, pinv_used
-        J = reference_residual_jacobian(sys, x)
-        s = np.linalg.svd(J, compute_uv=False)
-        if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
-            step = -np.linalg.lstsq(J, r, rcond=1e-10)[0]
-            pinv_used = True
-        else:
-            step = np.linalg.solve(J, -r)
-        if not np.all(np.isfinite(step)):
-            return x, rn <= tol, pinv_used
-        alpha = 1.0
-        accepted = False
-        for _ in range(max_halvings + 1):
-            xn = x + alpha * step
-            r_new = reference_residual(sys, xn)
-            rn_new = float(np.linalg.norm(r_new))
-            if rn_new < rn:
-                x, r, rn = xn, r_new, rn_new
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            break
-    return x, rn <= tol, pinv_used
-
-
 def newton_cases():
     rng = np.random.default_rng(41)
     cases = []
@@ -350,20 +318,24 @@ def test_bound_newton_matches_per_call_reference():
         F, DF = _bound_residual(sys1)
         starts = _uniform_in_box(_as_box(box, sys1.n), n_starts, 11)
         for x0 in starts:
-            x, ok, pinv = _newton_refine(F, DF, x0, 1e-10)
-            x_ref, ok_ref, pinv_ref = reference_newton_refine(sys1, x0, 1e-10)
+            x, ok = _newton_refine(F, DF, x0, 1e-10)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", KinkWarning)
+                x_ref, ok_ref = _newton_refine(lambda v: residual_vector(sys1, v),
+                                               lambda v: residual_jacobian(sys1, v), x0, 1e-10)
             assert np.array_equal(x, x_ref)
-            assert (ok, pinv) == (ok_ref, pinv_ref)
-            outcomes.append((sys1.form, ok, pinv))
+            assert ok == ok_ref
+            outcomes.append((sys1.form, sys1.activation, ok))
         reports = find_equilibria(sys1, box, n_starts, seed=11)
         for r in reports:
             assert r.residual == float(np.linalg.norm(reference_residual(sys1, r.point)))
             J = reference_residual_jacobian(sys1, r.point)
             assert spectrum_to_dict(r.spectrum) == spectrum_to_dict(svd_spectrum(J))
-    # every branch was taken: converged and not, pinv step and plain solve
-    assert {(ok, pinv) for _, ok, pinv in outcomes} == {
-        (True, True), (True, False), (False, True), (False, False)}
-    assert {form for form, ok, _ in outcomes if ok} == set(SystemForm)
+            assert r.pinv_fallback is False
+    # both outcomes are taken, and every form converges with either activation
+    assert {ok for *_, ok in outcomes} == {True, False}
+    assert {(form, act) for form, act, ok in outcomes if ok} == {
+        (form, act) for form in SystemForm for act in (Activation.relu, Activation.tanh)}
 
 
 def test_find_equilibria_is_silent_on_relu_kinks():
@@ -381,7 +353,14 @@ def test_find_equilibria_is_silent_on_relu_kinks():
         assert find_equilibria(ca.sys, box=box, n_starts=40, seed=11)
         on_kink = find_equilibria(line, box=(-3.0, 3.0), n_starts=16, seed=0)
     assert on_kink
-    assert any(r.point[1] == 0.0 for r in on_kink)
+    assert any(abs(r.point[1]) <= 1e-10 for r in on_kink)
+    # a start exactly on the kink evaluates DF there, still without a warning
+    F, DF = _bound_residual(line)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, ok = _newton_refine(F, DF, np.array([2.0, 0.0, 0.5]), 1e-10)
+    assert ok
+    assert np.linalg.norm(residual_vector(line, x)) <= 1e-10
 
 
 @pytest.mark.parametrize("box", [(float("nan"), 5.0), (-5.0, float("inf")),
@@ -394,3 +373,72 @@ def test_non_finite_box_is_rejected(box):
     dep = FunctionalDependence(coefficients=[1.0, -1.0], independent_count=1)
     with pytest.raises(ValueError, match="box bounds must be finite"):
         verify_dependence(sys2, dep, box=box)
+
+
+def counting_residual(monkeypatch):
+    """Make find_equilibria count its residual and Jacobian calls."""
+    counts = {"F": 0, "DF": 0}
+    bind = _bound_residual
+
+    def counted(sys1):
+        F, DF = bind(sys1)
+
+        def F_counted(x):
+            counts["F"] += 1
+            return F(x)
+
+        def DF_counted(x):
+            counts["DF"] += 1
+            return DF(x)
+        return F_counted, DF_counted
+
+    monkeypatch.setattr("attrakit.equilibria._bound_residual", counted)
+    return counts
+
+
+def test_search_work_and_yield_on_benchmark_instance(monkeypatch):
+    # `construct --p 24 --z 16 --m 3 --seed 15`, `analyze --box -5 5 --starts 256 --seed 15`;
+    # backtracking Newton made 378 residual calls per start and kept 21 points on the set
+    ca = construct_relu_attractor(p=24, z=16, m=3, seed=subseed(15, 0))
+    counts = counting_residual(monkeypatch)
+    reports = find_equilibria(ca.sys, box=(-5.0, 5.0), n_starts=256, seed=subseed(15, 2))
+    assert counts["F"] / 256 <= 40
+    assert counts["DF"] <= counts["F"]
+    assert all(r.residual <= 1e-10 for r in reports)
+    assert sum(ca.project(r.point)[1] <= 1e-6 for r in reports) >= 21
+
+
+def test_zero_jacobian_without_equilibrium_stops_quietly(monkeypatch):
+    # F(x) = b everywhere: the Jacobian is 0, so every damped step is 0 and rejected
+    flat = make_system(W=np.zeros((2, 2)), A=np.zeros((2, 2)), b=[1.0, -0.5],
+                       activation=Activation.identity, form=SystemForm.pre_activation)
+    counts = counting_residual(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert find_equilibria(flat, box=(-3.0, 3.0), n_starts=8, seed=0) == []
+    # one residual at the start, then one per rejected step of a single iteration
+    assert counts == {"F": 8 * 13, "DF": 8}
+
+
+def test_zero_jacobian_start_converges_iff_residual_within_tol():
+    flat = make_system(W=np.zeros((2, 2)), A=np.zeros((2, 2)), b=[0.6, -0.8],
+                       activation=Activation.identity, form=SystemForm.pre_activation)
+    F, DF = _bound_residual(flat)
+    # |F| = 1 everywhere, and no step can lower it
+    assert _newton_refine(F, DF, np.zeros(2), 1.0)[1]
+    assert not _newton_refine(F, DF, np.zeros(2), 0.999)[1]
+
+
+@pytest.mark.parametrize("ratio, residual_calls", [(0.99, 6), (0.97, 101)])
+def test_stall_stop_needs_ten_percent_over_five_accepted_steps(ratio, residual_calls):
+    # a residual that shrinks by `ratio` at each call, so every step is accepted:
+    # 0.99**5 > 0.9 stalls after five steps, 0.97**5 < 0.9 runs to the 100-iteration cap
+    calls = []
+
+    def F(x):
+        calls.append(x)
+        return np.array([ratio ** len(calls)])
+
+    x, ok = _newton_refine(F, lambda x: np.eye(1), np.zeros(1), 1e-10)
+    assert len(calls) == residual_calls
+    assert not ok
