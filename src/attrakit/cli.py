@@ -213,9 +213,6 @@ def cmd_simulate(args):
         sys_obj = sine_map_system(n=args.gen_n, top=top, ratio=ratio,
                                   alpha=args.gen_alpha, b_scale=args.gen_b_scale,
                                   seed=subseed(args.seed, _STREAM_GEN))
-        system_path = out_dir / "system.json"
-        save_system(sys_obj, system_path)
-        outputs.append(system_path)
     elif args.system is not None:
         system_path = Path(args.system)
         sys_obj = load_system(system_path)
@@ -243,6 +240,11 @@ def cmd_simulate(args):
                          f"(last step {traj.states.shape[0] - 1})")
     report = slow_fast_report(traj, theta=args.theta, eps_conv=args.eps_conv)
 
+    # saved only now, so a run rejected above leaves no artifact behind
+    if args.gen is not None:
+        system_path = out_dir / "system.json"
+        save_system(sys_obj, system_path)
+        outputs.append(system_path)
     traj_path = out_dir / "trajectory.csv"
     trajectory_to_csv(traj, traj_path)
     outputs.append(traj_path)
@@ -382,13 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("system", nargs="?")
     p.add_argument("--gen", choices=("stratified", "uniform"),
                    help="generate a sine-map system instead of reading one")
-    p.add_argument("--gen-n", type=int, default=3)
+    p.add_argument("--gen-n", type=_count, default=3)
     p.add_argument("--gen-ratio", type=float, default=100.0)
     p.add_argument("--gen-top", type=float, default=1.0)
     p.add_argument("--gen-uniform-top", type=float, default=0.3)
     p.add_argument("--gen-alpha", type=float, default=0.05)
     p.add_argument("--gen-b-scale", type=float, default=0.005)
-    p.add_argument("--steps", type=int)
+    p.add_argument("--steps", type=_count)
     p.add_argument("--t-end", type=_positive)
     p.add_argument("--dt", type=_positive)
     p.add_argument("--x0", help="comma-separated initial state")

@@ -34,9 +34,11 @@ __all__ = [
 
 DIVERGENCE_NORM = 1e12
 
-# rows formatted and written per write call: enough to amortise the call,
-# few enough that the block's Python floats stay a small share of memory
-_CSV_BLOCK_ROWS = 256
+# rows per block of the stepping checks, the displacement norms and the CSV
+# writer: enough to amortise each numpy or write call, few enough that a
+# block's temporaries (and its Python floats in the writer) stay a small
+# share of memory
+_BLOCK_ROWS = 256
 
 
 class DivergenceError(RuntimeError):
@@ -97,8 +99,30 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    # _norm of each row, bit for bit (np.linalg.norm(axis=1) is not)
+    return np.sqrt(np.vecdot(rows, rows))
+
+
+def _check_block(states: np.ndarray, lo: int, hi: int) -> None:
+    """Raise DivergenceError at the first bad state of the steps lo+1..hi.
+
+    A state is bad when its norm is above DIVERGENCE_NORM or not finite;
+    the error names its step and carries the state before it.
+    """
+    bad = ~(_row_norms(states[lo + 1:hi + 1]) <= DIVERGENCE_NORM)  # NaN is bad too
+    if bad.any():
+        t = lo + int(bad.argmax())
+        raise DivergenceError(t + 1, states[t].copy())
+
+
 def iterate_map(sys: DynamicalSystem, x0, steps: int) -> Trajectory:
-    """Iterate a discrete map, recording every state and step speed."""
+    """Iterate a discrete map, recording every state and step speed.
+
+    Divergence is checked once per block of _BLOCK_ROWS steps, so a
+    diverging map stops within one block; the DivergenceError still names
+    the first bad step and the state before it.
+    """
     if sys.form is not SystemForm.discrete_map:
         raise ValueError("iterate_map needs a discrete_map system")
     if steps < 1:
@@ -108,12 +132,14 @@ def iterate_map(sys: DynamicalSystem, x0, steps: int) -> Trajectory:
     speeds = np.empty(steps)
     states[0] = _check_state(sys, x0)
     x = states[0]
-    for t in range(steps):
-        x_next = field(x)
-        if not _norm(x_next) <= DIVERGENCE_NORM:  # NaN fails too
-            raise DivergenceError(t + 1, x.copy())
-        speeds[t] = _norm(x_next - x)
-        states[t + 1] = x = x_next
+    # steps past a divergence overflow or turn NaN until the block's check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, steps, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, steps)
+            for t in range(lo, hi):
+                states[t + 1] = x = field(x)
+            _check_block(states, lo, hi)
+            speeds[lo:hi] = _row_norms(states[lo + 1:hi + 1] - states[lo:hi])
     return Trajectory(states=states, times=np.arange(steps + 1, dtype=float),
                       speeds=speeds, kind="discrete")
 
@@ -124,6 +150,7 @@ def integrate_rk4(sys: DynamicalSystem, x0, t_end: float, h: float) -> Trajector
     The step is snapped to t_end / round(t_end / h) so the final time is hit
     exactly; halving h quarters the local error twice over (order 4). Each
     state's speed is the norm of its first stage, the field at that state.
+    Divergence is checked per block of steps, as in iterate_map.
     """
     if sys.form is SystemForm.discrete_map:
         raise ValueError("integrate_rk4 needs a continuous-form system")
@@ -137,16 +164,17 @@ def integrate_rk4(sys: DynamicalSystem, x0, t_end: float, h: float) -> Trajector
     speeds = np.empty(n_steps + 1)
     states[0] = _check_state(sys, x0)
     x = states[0]
-    for t in range(n_steps):
-        k1 = field(x)
-        speeds[t] = _norm(k1)
-        k2 = field(x + half * k1)
-        k3 = field(x + half * k2)
-        k4 = field(x + dt * k3)
-        x_next = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not _norm(x_next) <= DIVERGENCE_NORM:  # NaN fails too
-            raise DivergenceError(t + 1, x.copy())
-        states[t + 1] = x = x_next
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n_steps, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n_steps)
+            for t in range(lo, hi):
+                k1 = field(x)
+                speeds[t] = _norm(k1)
+                k2 = field(x + half * k1)
+                k3 = field(x + half * k2)
+                k4 = field(x + dt * k3)
+                states[t + 1] = x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            _check_block(states, lo, hi)
     speeds[n_steps] = _norm(field(x))
     return Trajectory(states=states, times=dt * np.arange(n_steps + 1),
                       speeds=speeds, kind="continuous")
@@ -165,13 +193,19 @@ def slow_fast_report(traj: Trajectory, theta: float = 0.01,
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
     if traj.states.shape[0] < 2:
         raise ValueError("need at least two states")
-    speeds = traj.speeds
+    speeds, states = traj.speeds, traj.states
     if speeds[0] == 0.0:
         collapse = 0
     else:
-        below = np.nonzero(speeds < theta * speeds[0])[0]
-        collapse = int(below[0]) if below.size else speeds.shape[0]
-    displacements = np.linalg.norm(np.diff(traj.states, axis=0), axis=1)
+        below = speeds < theta * speeds[0]
+        collapse = int(below.argmax()) if below.any() else speeds.shape[0]
+    # the row norms of np.diff(states), a block at a time so no (S-1, n)
+    # temporary is built; np.linalg.norm, not _row_norms, keeps the drift's
+    # last bits what they have always been
+    displacements = np.empty(states.shape[0] - 1)
+    for lo in range(0, displacements.shape[0], _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, displacements.shape[0])
+        displacements[lo:hi] = np.linalg.norm(states[lo + 1:hi + 1] - states[lo:hi], axis=1)
     drift = float(displacements[collapse:].sum()) if collapse < displacements.shape[0] else 0.0
     collapse_speed = float(speeds[collapse]) if collapse < speeds.shape[0] else 0.0
     return SlowFastReport(
@@ -211,15 +245,15 @@ def write_csv_rows(fh, steps, columns, end: str = "\r\n") -> None:
     steps (a sequence of integers, a range too) gives each row's first
     cell; the values come from the aligned 1-D or 2-D arrays in columns
     and are printed with `%.17g` (a bit-exact round trip). Rows are
-    formatted and written in blocks of _CSV_BLOCK_ROWS, so no table of
-    the whole output is built.
+    formatted and written in blocks of _BLOCK_ROWS, so no table of the
+    whole output is built.
     """
     width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
     fmt = "%d" + ",%.17g" * width + end
-    for lo in range(0, len(steps), _CSV_BLOCK_ROWS):
-        hi = lo + _CSV_BLOCK_ROWS
+    for lo in range(0, len(steps), _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
         block = np.column_stack([steps[lo:hi]] + [c[lo:hi] for c in columns])
-        fh.write("".join([fmt % tuple(row) for row in block.tolist()]))
+        fh.write((fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

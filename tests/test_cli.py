@@ -365,6 +365,26 @@ def test_simulate_requires_steps_for_discrete(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--gen", "stratified", "--steps", "0"],
+    ["--gen", "stratified", "--steps", "-1"],
+    ["--gen", "stratified"],
+    ["--gen", "uniform"],
+    ["--gen", "stratified", "--gen-n", "0", "--steps", "5"],
+    ["--gen", "stratified", "--steps", "5", "--x0", "1,2"],
+    ["--gen", "stratified", "--steps", "5", "--snapshots", "1,99"],
+])
+def test_simulate_gen_rejects_bad_input_writing_no_file(tmp_path, argv):
+    # system.json too: the generated system is saved only after every check
+    out = tmp_path / "run"
+    try:
+        code = main(["simulate", *argv, "--out-dir", str(out)])
+    except SystemExit as exc:  # argparse rejects a count below 1
+        code = exc.code
+    assert code == 2
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_probe_synthetic_outputs(tmp_path):
     out = tmp_path / "run"
     code = main(["probe", "--synthetic", "--classes", "3", "--dim", "8",

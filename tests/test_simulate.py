@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attrakit import simulate
+from attrakit.cli import _STREAM_GEN, _STREAM_X0, subseed
 from attrakit.construct import construct_relu_attractor
 from attrakit.dynsys import (
     Activation,
@@ -19,7 +22,7 @@ from attrakit.dynsys import (
     make_system,
 )
 from attrakit.simulate import (
-    _CSV_BLOCK_ROWS,
+    _BLOCK_ROWS,
     DivergenceError,
     Trajectory,
     integrate_rk4,
@@ -341,10 +344,12 @@ def test_bound_jacobian_matches_jacobian_analytic_bitwise(form, activation):
 def test_iterate_map_bit_identical_to_eval_field_loop(n):
     sys_n = sine_map_system(n=n, top=1.0, ratio=100.0, seed=n)
     x0 = np.random.default_rng(n).uniform(-0.5, 0.5, n)
-    traj = iterate_map(sys_n, x0, 300)
-    states, speeds = reference_iterate_map(sys_n, x0, 300)
-    assert np.array_equal(traj.states, states)
-    assert np.array_equal(traj.speeds, speeds)
+    # one partial block, and two whole blocks plus a partial one
+    for steps in (300, 2 * _BLOCK_ROWS + 3):
+        traj = iterate_map(sys_n, x0, steps)
+        states, speeds = reference_iterate_map(sys_n, x0, steps)
+        assert np.array_equal(traj.states, states)
+        assert np.array_equal(traj.speeds, speeds)
 
 
 @pytest.mark.parametrize("form", [SystemForm.pre_activation, SystemForm.post_activation])
@@ -382,6 +387,120 @@ def test_divergence_step_and_last_state_match_eval_field_loop(case):
     assert np.array_equal(got.value.last_state, want.value.last_state)
 
 
+@pytest.mark.parametrize("case", ["map", "pre", "post"])
+@pytest.mark.parametrize("step", [1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
+def test_divergence_at_block_edges_matches_eval_field_loop(case, step):
+    # x grows by a factor g per step; x0 puts the first norm above 1e12 at step
+    if case == "map":
+        g = 2.0
+        sys_d = make_system(W=[[0.0]], A=[[-g]], b=[0.0],
+                            activation=Activation.identity, form=SystemForm.discrete_map)
+        x0 = [1e12 * g ** (0.5 - step)]
+        run = lambda: iterate_map(sys_d, x0, 3 * _BLOCK_ROWS)  # noqa: E731
+        ref = lambda: reference_iterate_map(sys_d, x0, 3 * _BLOCK_ROWS)  # noqa: E731
+    else:
+        # dx/dt = x, and one RK4 step of h = 1 multiplies x by g
+        g = 1.0 + 1.0 + 1.0 / 2.0 + 1.0 / 6.0 + 1.0 / 24.0
+        sys_d = (make_system(W=[[0.0]], A=[[-1.0]], b=[0.0], activation=Activation.identity,
+                             form=SystemForm.pre_activation) if case == "pre"
+                 else make_system(W=[[2.0]], A=[[0.0]], b=[0.0], activation=Activation.identity,
+                                  form=SystemForm.post_activation))
+        x0 = [1e12 * g ** (0.5 - step)]
+        t_end = 3.0 * _BLOCK_ROWS
+        run = lambda: integrate_rk4(sys_d, x0, t_end, 1.0)  # noqa: E731
+        ref = lambda: reference_rk4(sys_d, x0, t_end, 1.0)  # noqa: E731
+    with pytest.raises(DivergenceError) as got:
+        run()
+    with pytest.raises(DivergenceError) as want:
+        ref()
+    assert got.value.step == want.value.step == step
+    assert np.array_equal(got.value.last_state, want.value.last_state)
+
+
+@pytest.mark.parametrize("case", ["map", "rk4"])
+def test_divergence_raises_no_numpy_warning(case):
+    # the steps past the divergence overflow to inf, then sin(inf) or 0 * inf is NaN
+    if case == "map":
+        sys_d = make_system(W=[[1.0]], A=[[-1e200]], b=[0.0],
+                            activation=Activation.sine, form=SystemForm.discrete_map)
+        run = lambda: iterate_map(sys_d, [1.0], 100)  # noqa: E731
+    else:
+        sys_d = make_system(W=[[0.0]], A=[[1e308]], b=[0.0],
+                            activation=Activation.identity, form=SystemForm.pre_activation)
+        run = lambda: integrate_rk4(sys_d, [10.0], t_end=10.0, h=0.1)  # noqa: E731
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            run()
+    assert err.value.step == 1
+    assert np.isfinite(err.value.last_state).all()
+
+
+def counting(fn, calls):
+    def wrapped(*args):
+        calls.append(None)
+        return fn(*args)
+    return wrapped
+
+
+def test_stepping_calls_the_field_once_per_stage_and_map_skips_norm(monkeypatch):
+    field_calls, norm_calls = [], []
+    monkeypatch.setattr(simulate, "bound_field",
+                        lambda sys: counting(bound_field(sys), field_calls))
+    monkeypatch.setattr(simulate, "_norm", counting(simulate._norm, norm_calls))
+    steps = 2 * _BLOCK_ROWS + 3
+    iterate_map(sine_map_system(n=3), [0.1, 0.2, 0.3], steps)
+    assert len(field_calls) == steps
+    assert norm_calls == []
+    field_calls.clear()
+    traj = integrate_rk4(decay_field(), [1.0], t_end=float(steps), h=1.0)
+    assert traj.states.shape[0] == steps + 1
+    assert len(field_calls) == 4 * steps + 1
+
+
+def slow_fast_peak_bytes(traj):
+    tracemalloc.start()
+    try:
+        slow_fast_report(traj)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_slow_fast_report_memory_on_benchmark_map():
+    # the trajectory benchmark's map: simulate --gen stratified --steps 100000 --seed 5
+    sys_s = sine_map_system(n=3, seed=subseed(5, _STREAM_GEN))
+    x0 = np.random.default_rng(subseed(5, _STREAM_X0)).uniform(-0.5, 0.5, 3)
+    traj = iterate_map(sys_s, x0, 100_000)
+    assert slow_fast_peak_bytes(traj) < 2.5e6
+
+
+def test_slow_fast_report_memory_on_long_continuous_trajectory():
+    # the shape of the trajectory benchmark's RK4 run (n = 40, 10k steps)
+    rng = np.random.default_rng(3)
+    S = 10_001
+    traj = Trajectory(states=np.cumsum(rng.standard_normal((S, 40)), axis=0),
+                      times=np.arange(S, dtype=float), speeds=rng.random(S),
+                      kind="continuous")
+    assert slow_fast_peak_bytes(traj) < 2.5e6
+
+
+@pytest.mark.parametrize("kind", ["discrete", "continuous"])
+@pytest.mark.parametrize("S", [_BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
+@pytest.mark.parametrize("n", [1, 3, 40])
+def test_slow_fast_drift_matches_whole_array_norms(kind, S, n):
+    rng = np.random.default_rng(S * n)
+    states = np.cumsum(rng.standard_normal((S, n)) * rng.exponential(size=(S, 1)), axis=0)
+    speeds = 0.9 ** np.arange(S - 1 if kind == "discrete" else S)
+    traj = Trajectory(states=states, times=np.arange(S, dtype=float), speeds=speeds,
+                      kind=kind)
+    report = slow_fast_report(traj, theta=0.01)
+    c = 44  # the first k with 0.9 ** k < 0.01
+    assert report.collapse_step == c
+    want = np.linalg.norm(np.diff(states, axis=0), axis=1)[c:].sum()
+    assert report.terminal_drift == want
+
+
 def reference_csv_bytes(traj):
     # the writer this package used before the block formatter: csv.writer
     # over per-value f-strings
@@ -400,8 +519,8 @@ def reference_csv_bytes(traj):
 
 @pytest.mark.parametrize("kind", ["discrete", "continuous"])
 @pytest.mark.parametrize("n", [1, 3, 40])
-@pytest.mark.parametrize("rows", [_CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
-                                  _CSV_BLOCK_ROWS + 1, _CSV_BLOCK_ROWS + 2])
+@pytest.mark.parametrize("rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS,
+                                  _BLOCK_ROWS + 1, _BLOCK_ROWS + 2])
 def test_csv_writer_bytes_match_csv_module_reference(tmp_path, kind, n, rows):
     rng = np.random.default_rng(rows + n)
     special = [-0.0, 5e-324, 1e300, -1e300, 0.1, 1.0]
