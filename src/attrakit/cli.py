@@ -30,7 +30,7 @@ from .construct import (
     save_constructed,
     verify_construction,
 )
-from .dynsys import _json_numbers, _write_json, load_system, save_system, write_json
+from .dynsys import SystemForm, _json_numbers, _write_json, load_system, save_system, write_json
 from .equilibria import _report_to_json, find_equilibria
 from .probe import (
     HELD_OUT_CLASS,
@@ -54,6 +54,7 @@ from .probe import (
 )
 from .simulate import (
     DivergenceError,
+    _rk4_steps,
     integrate_rk4,
     iterate_map,
     sine_map_system,
@@ -226,18 +227,31 @@ def cmd_simulate(args):
         rng = np.random.default_rng(subseed(args.seed, _STREAM_X0))
         x0 = rng.uniform(-0.5, 0.5, size=sys_obj.n)
 
-    if sys_obj.form.value == "discrete_map":
+    # the stepping flags and snapshots are checked before any step is taken
+    discrete = sys_obj.form is SystemForm.discrete_map
+    if discrete:
+        for flag, value in (("--t-end", args.t_end), ("--dt", args.dt)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only to continuous systems; "
+                                 "a discrete_map system takes --steps")
         if args.steps is None:
             raise ValueError("--steps is required for discrete_map systems")
-        traj = iterate_map(sys_obj, x0, args.steps)
+        last_step = args.steps
     else:
+        if args.steps is not None:
+            raise ValueError("--steps applies only to discrete_map systems; "
+                             "a continuous system takes --t-end and --dt")
         if args.t_end is None or args.dt is None:
             raise ValueError("--t-end and --dt are required for continuous systems")
-        traj = integrate_rk4(sys_obj, x0, args.t_end, args.dt)
-    # checked before the trajectory outputs are written, so none is left partial
-    if snapshots and snapshots[-1] >= traj.states.shape[0]:
+        last_step = _rk4_steps(args.t_end, args.dt)
+    if snapshots and snapshots[-1] > last_step:
         raise ValueError(f"snapshot step {snapshots[-1]} outside trajectory "
-                         f"(last step {traj.states.shape[0] - 1})")
+                         f"(last step {last_step})")
+
+    if discrete:
+        traj = iterate_map(sys_obj, x0, args.steps)
+    else:
+        traj = integrate_rk4(sys_obj, x0, args.t_end, args.dt)
     report = slow_fast_report(traj, theta=args.theta, eps_conv=args.eps_conv)
 
     # saved only now, so a run rejected above leaves no artifact behind

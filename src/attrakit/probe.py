@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynsys import Activation, write_json
+from .dynsys import _DERIV, _VALUE, Activation, write_json
 
 __all__ = [
     "TRAIN_CLASS",
@@ -57,6 +58,11 @@ RANDOM_NOISE = "random_noise"
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+
+# rows per block of the accuracy pass and records per block of the cv trace
+# writer: enough to amortise each numpy or write call, few enough that a
+# block's temporaries stay a small share of memory
+_BLOCK_ROWS = 256
 
 
 class IdxFormatError(ValueError):
@@ -176,7 +182,7 @@ class TinyNet:
 
     def _forward_cached(self, X: np.ndarray):
         """Pre-activations and layer inputs for one 2D batch."""
-        act = self.hidden_activation
+        act = _VALUE[self.hidden_activation]
         pre = []
         layer_inputs = [X]
         a = X
@@ -201,31 +207,49 @@ class TinyNet:
         return logits[0] if single else logits
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _layer_views(net: TinyNet, flat: np.ndarray) -> tuple[list, list]:
+    """Per-layer weight and bias views of one flat buffer of net.param_count values.
+
+    The layers lie in order, each weight matrix (row-major) before its bias.
+    """
+    weights, biases, lo = [], [], 0
+    for W, b in zip(net.weights, net.biases):
+        weights.append(flat[lo:lo + W.size].reshape(W.shape))
+        lo += W.size
+        biases.append(flat[lo:lo + b.size])
+        lo += b.size
+    return weights, biases
 
 
-def loss_and_gradients(net: TinyNet, X: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy and exact gradients for every weight and bias."""
+def _loss_and_gradients_into(net: TinyNet, X: np.ndarray, y: np.ndarray,
+                             grad_w: list, grad_b: list) -> float:
+    """Mean cross-entropy of one batch; its gradients are written into grad_w, grad_b."""
     pre, layer_inputs = net._forward_cached(X)
     logits = pre[-1]
     B = X.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    # one exp serves the loss and the softmax
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    log_probs = shifted - np.log(total)
     loss = float(-log_probs[np.arange(B), y].mean())
 
-    dz = _softmax(logits)
+    dz = e / total
     dz[np.arange(B), y] -= 1.0
     dz /= B
-    grad_w = [None] * len(net.weights)
-    grad_b = [None] * len(net.biases)
+    deriv = _DERIV[net.hidden_activation]
     for k in range(len(net.weights) - 1, -1, -1):
-        grad_w[k] = dz.T @ layer_inputs[k]
-        grad_b[k] = dz.sum(axis=0)
+        np.matmul(dz.T, layer_inputs[k], out=grad_w[k])
+        dz.sum(axis=0, out=grad_b[k])
         if k > 0:
-            dz = (dz @ net.weights[k]) * net.hidden_activation.deriv(pre[k - 1])
+            dz = (dz @ net.weights[k]) * deriv(pre[k - 1])
+    return loss
+
+
+def loss_and_gradients(net: TinyNet, X: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy and exact gradients for every weight and bias."""
+    grad_w, grad_b = _layer_views(net, np.empty(net.param_count))
+    loss = _loss_and_gradients_into(net, X, y, grad_w, grad_b)
     return loss, grad_w, grad_b
 
 
@@ -244,8 +268,16 @@ def classifier_jacobian(net: TinyNet, x) -> np.ndarray:
 
 
 def accuracy(net: TinyNet, data: Dataset) -> float:
-    logits = net.forward(data.inputs)
-    return float((logits.argmax(axis=1) == data.labels).mean())
+    """Share of samples whose largest logit is their label.
+
+    The rows are forwarded a block of _BLOCK_ROWS at a time, so no
+    activations of the whole dataset are built.
+    """
+    hits = 0
+    for lo in range(0, data.size, _BLOCK_ROWS):
+        logits = net.forward(data.inputs[lo:lo + _BLOCK_ROWS])
+        hits += int(np.count_nonzero(logits.argmax(axis=1) == data.labels[lo:lo + _BLOCK_ROWS]))
+    return hits / data.size
 
 
 def load_idx(images_path, labels_path, max_items: int | None = None) -> Dataset:
@@ -401,15 +433,39 @@ class CvTrace:
                 np.array([self.mean_cv(category, cp) for cp in cps]))
 
     def to_csv(self, path) -> None:
+        """Write `checkpoint,sample_id,category,cv,sv_1,...,sv_4` CRLF rows.
+
+        The bytes are what csv.writer writes: doubles as `%.17g`, text cells
+        quoted only when they hold a comma, quote or line break, and empty
+        cells for the singular values a record lacks. Each block of
+        _BLOCK_ROWS records is formatted with one `%`.
+        """
+        # one row format per number of singular values written, 0 to 4
+        row_fmt = ["%d,%s,%s,%.17g" + ",%.17g" * k + "," * (4 - k) + "\r\n"
+                   for k in range(5)]
+        cells: dict[str, str] = {}
+
+        def cell(text: str) -> str:
+            if text not in cells:
+                cells[text] = _csv_cell(text)
+            return cells[text]
+
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["checkpoint", "sample_id", "category", "cv",
-                             "sv_1", "sv_2", "sv_3", "sv_4"])
-            for r in self.records:
-                svs = [f"{v:.17g}" for v in r.singular_values[:4]]
-                svs += [""] * (4 - len(svs))
-                writer.writerow([r.checkpoint, r.sample_id, r.category,
-                                 f"{r.cv:.17g}"] + svs)
+            fh.write("checkpoint,sample_id,category,cv,sv_1,sv_2,sv_3,sv_4\r\n")
+            for lo in range(0, len(self.records), _BLOCK_ROWS):
+                fmt, values = [], []
+                for r in self.records[lo:lo + _BLOCK_ROWS]:
+                    svs = r.singular_values[:4].tolist()
+                    fmt.append(row_fmt[len(svs)])
+                    values += [r.checkpoint, cell(r.sample_id), cell(r.category), r.cv, *svs]
+                fh.write("".join(fmt) % tuple(values))
+
+
+def _csv_cell(text: str) -> str:
+    """A text cell as csv.writer's minimal quoting writes it."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def default_checkpoint_schedule(n_batches_per_epoch: int, epochs: int,
@@ -428,9 +484,10 @@ def _logit_spectra(net: TinyNet, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     back to the input, for all rows at once. An all-zero spectrum has cv 0.
     """
     pre, _ = net._forward_cached(X)
+    deriv = _DERIV[net.hidden_activation]
     J = np.broadcast_to(net.weights[-1], (X.shape[0],) + net.weights[-1].shape)
     for k in range(len(net.weights) - 1, 0, -1):
-        J = (J * net.hidden_activation.deriv(pre[k - 1])[:, None, :]) @ net.weights[k - 1]
+        J = (J * deriv(pre[k - 1])[:, None, :]) @ net.weights[k - 1]
     s = np.linalg.svd(J, compute_uv=False)
     mean = s.mean(axis=1)
     cv = np.divide(s.var(axis=1), mean**2, out=np.zeros_like(mean), where=mean > 0.0)
@@ -450,7 +507,17 @@ def train(net: TinyNet, data: Dataset, cfg: TrainConfig,
     if data.dim != net.layer_dims[0]:
         raise ValueError(
             f"data dim {data.dim} does not match net input {net.layer_dims[0]}")
-    net = net.copy()
+    # every weight and bias lives in one flat buffer (a copy, so the input
+    # net is left untouched), and the net's arrays are views of it; the
+    # update is then a few calls on the whole buffer
+    params = np.concatenate([a.ravel() for layer in zip(net.weights, net.biases)
+                             for a in layer])
+    net = TinyNet(net.layer_dims, *_layer_views(net, params), net.hidden_activation)
+    grad = np.empty_like(params)
+    grad_w, grad_b = _layer_views(net, grad)
+    vel = np.zeros_like(params)
+    step = np.empty_like(params)
+    lr, mom, wd = cfg.learning_rate, cfg.momentum, cfg.weight_decay
     rng = np.random.default_rng(cfg.seed)
     n_batches = int(np.ceil(data.size / cfg.batch_size))
     if schedule is None:
@@ -467,8 +534,6 @@ def train(net: TinyNet, data: Dataset, cfg: TrainConfig,
         trace.records += [CvRecord(checkpoint, p.sample_id, p.category, float(cv), s)
                           for p, cv, s in zip(probes, cvs, svs)]
 
-    vel_w = [np.zeros_like(W) for W in net.weights]
-    vel_b = [np.zeros_like(b) for b in net.biases]
     done = 0
     if 0 in marks:
         record(0)
@@ -476,17 +541,18 @@ def train(net: TinyNet, data: Dataset, cfg: TrainConfig,
         order = rng.permutation(data.size)
         for start in range(0, data.size, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            loss, grad_w, grad_b = loss_and_gradients(
-                net, data.inputs[idx], data.labels[idx])
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(done, loss, cfg.learning_rate)
-            for k in range(len(net.weights)):
-                gw = grad_w[k] + cfg.weight_decay * net.weights[k]
-                gb = grad_b[k] + cfg.weight_decay * net.biases[k]
-                vel_w[k] = cfg.momentum * vel_w[k] + gw
-                vel_b[k] = cfg.momentum * vel_b[k] + gb
-                net.weights[k] -= cfg.learning_rate * vel_w[k]
-                net.biases[k] -= cfg.learning_rate * vel_b[k]
+            loss = _loss_and_gradients_into(net, data.inputs[idx], data.labels[idx],
+                                            grad_w, grad_b)
+            if not math.isfinite(loss):
+                raise TrainingDivergedError(done, loss, lr)
+            # v = m·v + (g + wd·W), then W -= lr·v: one rounding per product
+            # and sum of each element, so the buffer layout changes no bit
+            np.multiply(params, wd, out=step)
+            step += grad
+            vel *= mom
+            vel += step
+            np.multiply(vel, lr, out=step)
+            params -= step
             done += 1
             if done in marks:
                 record(done)

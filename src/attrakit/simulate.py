@@ -144,6 +144,11 @@ def iterate_map(sys: DynamicalSystem, x0, steps: int) -> Trajectory:
                       speeds=speeds, kind="discrete")
 
 
+def _rk4_steps(t_end: float, h: float) -> int:
+    """Number of RK4 steps integrate_rk4 takes from 0 to t_end with step about h."""
+    return max(1, int(round(t_end / h)))
+
+
 def integrate_rk4(sys: DynamicalSystem, x0, t_end: float, h: float) -> Trajectory:
     """Classical fixed-step RK4 from 0 to t_end.
 
@@ -156,7 +161,7 @@ def integrate_rk4(sys: DynamicalSystem, x0, t_end: float, h: float) -> Trajector
         raise ValueError("integrate_rk4 needs a continuous-form system")
     if h <= 0 or t_end <= 0:
         raise ValueError("t_end and h must be positive")
-    n_steps = max(1, int(round(t_end / h)))
+    n_steps = _rk4_steps(t_end, h)
     dt = t_end / n_steps
     half, sixth = 0.5 * dt, dt / 6.0
     field = bound_field(sys)

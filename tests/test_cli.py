@@ -327,6 +327,56 @@ def test_simulate_rejects_bad_snapshots_before_writing_them(tmp_path, snapshots)
     assert not (out / "trajectory.csv").exists()
 
 
+def test_simulate_checks_snapshots_before_stepping(tmp_path, capsys, monkeypatch):
+    import attrakit.cli as cli
+
+    calls = []
+    iterate_map = cli.iterate_map
+
+    def counting_iterate_map(*args, **kwargs):
+        calls.append(args)
+        return iterate_map(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "iterate_map", counting_iterate_map)
+    out = tmp_path / "run"
+    code = main(["simulate", "--gen", "stratified", "--steps", "100000",
+                 "--snapshots", "1,200000", "--out-dir", str(out)])
+    assert code == 2
+    assert calls == []
+    assert "snapshot step 200000 outside trajectory (last step 100000)" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_simulate_rk4_snapshots_end_at_the_last_step(tmp_path, capsys):
+    system_path = tmp_path / "tanh.json"
+    write_tanh_system(system_path)
+    argv = ["simulate", str(system_path), "--t-end", "1", "--dt", "0.1"]
+    assert main(argv + ["--snapshots", "11", "--out-dir", str(tmp_path / "past")]) == 2
+    assert "last step 10" in capsys.readouterr().err
+    assert list((tmp_path / "past").iterdir()) == []
+    assert main(argv + ["--snapshots", "10", "--out-dir", str(tmp_path / "last")]) == 0
+    rows = (tmp_path / "last" / "snapshots.csv").read_text().splitlines()
+    assert rows[1].startswith("10,1,")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--gen", "stratified", "--steps", "5", "--t-end", "1"], "--t-end"),
+    (["--gen", "uniform", "--steps", "5", "--dt", "0.1"], "--dt"),
+    (["--gen", "stratified", "--t-end", "1", "--dt", "0.1"], "--t-end"),
+    (["{system}", "--t-end", "1", "--dt", "0.1", "--steps", "5"], "--steps"),
+])
+def test_simulate_rejects_the_other_forms_stepping_flags(tmp_path, capsys, argv, flag):
+    system_path = tmp_path / "tanh.json"
+    write_tanh_system(system_path)
+    out = tmp_path / "run"
+    argv = [a.format(system=system_path) for a in argv]
+    code = main(["simulate", *argv, "--out-dir", str(out)])
+    assert code == 2
+    assert f"error: {flag} applies only to" in capsys.readouterr().err
+    # system.json too: nothing is written before the flags are checked
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("x0, message", [
     ("1,2", "--x0 has 2 values, the system dimension is 3"),
     ("1,a,2", "--x0 must be comma-separated numbers"),

@@ -1,4 +1,6 @@
+import csv
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,15 +9,19 @@ from hypothesis import strategies as st
 
 from attrakit.dynsys import Activation
 from attrakit.probe import (
+    HELD_OUT_CLASS,
     IDX_IMAGE_MAGIC,
     IDX_LABEL_MAGIC,
     RANDOM_NOISE,
     TRAIN_CLASS,
+    CvRecord,
+    CvTrace,
     Dataset,
     IdxFormatError,
     TinyNet,
     TrainConfig,
     TrainingDivergedError,
+    _logit_spectra,
     accuracy,
     classifier_jacobian,
     default_checkpoint_schedule,
@@ -487,3 +493,162 @@ def test_train_config_validation():
 def test_net_param_count():
     net = TinyNet.init([6, 8, 5, 3], seed=20)
     assert net.param_count == 6 * 8 + 8 + 8 * 5 + 5 + 5 * 3 + 3
+
+
+# ------------------------------------------- flat-buffer training and blocks
+
+def reference_loss_and_gradients(net, X, y):
+    """Per-layer loss and gradients, written as before training used one flat buffer."""
+    pre, layer_inputs, a = [], [X], X
+    last = len(net.weights) - 1
+    for k, (W, b) in enumerate(zip(net.weights, net.biases)):
+        z = a @ W.T + b
+        pre.append(z)
+        a = z if k == last else net.hidden_activation(z)
+        if k != last:
+            layer_inputs.append(a)
+    logits = pre[-1]
+    B = X.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = float(-log_probs[np.arange(B), y].mean())
+
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    dz = e / e.sum(axis=1, keepdims=True)
+    dz[np.arange(B), y] -= 1.0
+    dz /= B
+    grad_w = [None] * len(net.weights)
+    grad_b = [None] * len(net.biases)
+    for k in range(len(net.weights) - 1, -1, -1):
+        grad_w[k] = dz.T @ layer_inputs[k]
+        grad_b[k] = dz.sum(axis=0)
+        if k > 0:
+            dz = (dz @ net.weights[k]) * net.hidden_activation.deriv(pre[k - 1])
+    return loss, grad_w, grad_b
+
+
+def reference_train(net, data, cfg, probes):
+    """train's SGD as one update per layer and per array, for bit comparison."""
+    net = net.copy()
+    rng = np.random.default_rng(cfg.seed)
+    n_batches = int(np.ceil(data.size / cfg.batch_size))
+    marks = set(default_checkpoint_schedule(n_batches, cfg.epochs)) | {n_batches * cfg.epochs}
+    probe_x = np.array([p.x for p in probes])
+    records = []
+
+    def record(checkpoint):
+        svs, cvs = _logit_spectra(net, probe_x)
+        records.extend(CvRecord(checkpoint, p.sample_id, p.category, float(cv), s)
+                       for p, cv, s in zip(probes, cvs, svs))
+
+    vel_w = [np.zeros_like(W) for W in net.weights]
+    vel_b = [np.zeros_like(b) for b in net.biases]
+    done = 0
+    record(0)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(data.size)
+        for start in range(0, data.size, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            _, grad_w, grad_b = reference_loss_and_gradients(
+                net, data.inputs[idx], data.labels[idx])
+            for k in range(len(net.weights)):
+                gw = grad_w[k] + cfg.weight_decay * net.weights[k]
+                gb = grad_b[k] + cfg.weight_decay * net.biases[k]
+                vel_w[k] = cfg.momentum * vel_w[k] + gw
+                vel_b[k] = cfg.momentum * vel_b[k] + gb
+                net.weights[k] -= cfg.learning_rate * vel_w[k]
+                net.biases[k] -= cfg.learning_rate * vel_b[k]
+            done += 1
+            if done in marks:
+                record(done)
+    return net, records
+
+
+@pytest.mark.parametrize("dims, activation, weight_decay, momentum", [
+    ((8, 16, 8, 3), Activation.relu, 5e-4, 0.9),
+    ((8, 16, 8, 3), Activation.tanh, 0.0, 0.0),
+    ((8, 12, 3), Activation.tanh, 5e-4, 0.9),
+    ((8, 12, 3), Activation.relu, 0.0, 0.9),
+    ((8, 3), Activation.relu, 5e-4, 0.0),
+])
+def test_train_is_bit_identical_to_the_per_layer_update(dims, activation, weight_decay,
+                                                        momentum):
+    # 105 rows in batches of 32: every epoch ends on a partial batch of 9
+    data = synth_blobs(C=3, d=8, per_class=35, separation=6.0, seed=31)
+    net = TinyNet.init(dims, seed=32, hidden_activation=activation)
+    cfg = TrainConfig(learning_rate=0.05, momentum=momentum, weight_decay=weight_decay,
+                      batch_size=32, epochs=3, seed=33)
+    probes = make_probe_samples(data, n_per_category=2, seed=34)
+    trained, trace = train(net, data, cfg, probes=probes)
+    want, want_records = reference_train(net, data, cfg, probes)
+    for got, ref in zip(trained.weights + trained.biases, want.weights + want.biases):
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+    assert len(trace.records) == len(want_records)
+    for got, ref in zip(trace.records, want_records):
+        assert (got.checkpoint, got.sample_id, got.category) == (
+            ref.checkpoint, ref.sample_id, ref.category)
+        assert got.cv == ref.cv
+        assert np.array_equal(got.singular_values, ref.singular_values)
+
+
+def test_loss_and_gradients_match_the_per_layer_reference():
+    data = synth_blobs(C=3, d=6, per_class=10, separation=6.0, seed=35)
+    for activation in (Activation.relu, Activation.tanh):
+        net = small_net(seed=36)
+        net.hidden_activation = activation
+        loss, grad_w, grad_b = loss_and_gradients(net, data.inputs, data.labels)
+        ref_loss, ref_w, ref_b = reference_loss_and_gradients(net, data.inputs, data.labels)
+        assert loss == ref_loss
+        for got, ref in zip(grad_w + grad_b, ref_w + ref_b):
+            assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("size", [1, 255, 256, 257, 3000])
+def test_accuracy_in_blocks_equals_the_whole_batch_mean(size):
+    blobs = synth_blobs(C=3, d=12, per_class=1000, separation=2.0, seed=37)
+    rows = np.random.default_rng(size).permutation(blobs.size)[:size]
+    data = Dataset(inputs=blobs.inputs[rows], labels=blobs.labels[rows], n_classes=3)
+    net = TinyNet.init([12, 128, 64, 3], seed=38)
+    want = float((net.forward(data.inputs).argmax(1) == data.labels).mean())
+    assert accuracy(net, data) == want
+
+
+def test_accuracy_builds_no_whole_dataset_activations():
+    data = synth_blobs(C=3, d=12, per_class=1000, separation=6.0, seed=39)
+    net = TinyNet.init([12, 128, 64, 3], seed=40)
+    tracemalloc.start()
+    try:
+        accuracy(net, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # forwarding all 3000 rows at once peaks at about 9.4 MB
+    assert peak < 2_000_000
+
+
+def reference_cv_trace_csv(trace, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["checkpoint", "sample_id", "category", "cv",
+                         "sv_1", "sv_2", "sv_3", "sv_4"])
+        for r in trace.records:
+            svs = [f"{v:.17g}" for v in r.singular_values[:4]]
+            svs += [""] * (4 - len(svs))
+            writer.writerow([r.checkpoint, r.sample_id, r.category, f"{r.cv:.17g}"] + svs)
+
+
+def test_cv_trace_csv_bytes_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(41)
+    records = [CvRecord(0, "train_class/0", TRAIN_CLASS, 0.25, rng.uniform(0, 9, 5)),
+               CvRecord(0, 'odd, "quoted" id', HELD_OUT_CLASS, 1 / 3, rng.uniform(0, 9, 4)),
+               CvRecord(10, "two\nlines", RANDOM_NOISE, 0.0, rng.uniform(0, 9, 3)),
+               CvRecord(20, "", "cat,egory", 1e-300, np.array([2.0, -0.0]))]
+    # more records than one block, so block boundaries are crossed
+    records += [CvRecord(30 + i, f"random_noise/{i}", RANDOM_NOISE, float(v),
+                         rng.uniform(0, 9, 2 + i % 3)) for i, v in enumerate(rng.random(600))]
+    trace = CvTrace(records)
+    trace.to_csv(tmp_path / "got.csv")
+    reference_cv_trace_csv(trace, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
