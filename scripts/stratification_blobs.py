@@ -24,9 +24,16 @@ from attrakit.probe import (
 )
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=5)
+    parser.add_argument("--seeds", type=positive_int, default=5)
     parser.add_argument("--dim", type=int, default=12)
     parser.add_argument("--per-class", type=int, default=1000)
     parser.add_argument("--separation", type=float, default=6.0)
@@ -59,9 +66,13 @@ def main():
         print(f"{seed:>4} {accuracy(trained, data):>6.3f} {cv_train:>9.4f} "
               f"{cv_noise:>9.4f} {cv_train - cv_noise:>+8.4f} {rho:>9.3f}")
     gaps = np.array(gaps)
-    se = gaps.std(ddof=1) / np.sqrt(gaps.shape[0])
-    print(f"mean gap {gaps.mean():+.4f}, standard error {se:.4f}, "
-          f"gap/se {gaps.mean() / se:.2f}")
+    if gaps.shape[0] == 1:
+        # one gap has no spread to estimate a standard error from
+        print(f"mean gap {gaps.mean():+.4f} (one seed, no standard error)")
+    else:
+        se = gaps.std(ddof=1) / np.sqrt(gaps.shape[0])
+        print(f"mean gap {gaps.mean():+.4f}, standard error {se:.4f}, "
+              f"gap/se {gaps.mean() / se:.2f}")
     print(f"traces written to {out_dir}/")
 
 

@@ -139,10 +139,12 @@ def eval_field(sys: DynamicalSystem, x) -> np.ndarray:
 def bound_field(sys: DynamicalSystem):
     """eval_field with sys bound once, as a function of one checked state."""
     act = _VALUE[sys.activation]
-    W, A, b = sys.W, sys.A, sys.b
+    # ndarray.dot costs about half of what @ does per call at small n, with
+    # the same bits for n >= 2; at n = 1 a product of -0 stays -0 (@ gives +0)
+    W_dot, A_dot, b = sys.W.dot, sys.A.dot, sys.b
     if sys.form is SystemForm.post_activation:
-        return lambda x: -x + W @ act(x) + b
-    return lambda x: act(W @ x + b) - A @ x
+        return lambda x: -x + W_dot(act(x)) + b
+    return lambda x: act(W_dot(x) + b) - A_dot(x)
 
 
 def bound_jacobian(sys: DynamicalSystem):

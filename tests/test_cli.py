@@ -597,6 +597,54 @@ def test_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def run_simulate_in_ranges(out_dir: Path, ranges: int):
+    """simulate in a subprocess whose stdout is a pipe, writing CSVs in `ranges` ranges."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["simulate", "--gen", "stratified", "--steps", "5000", "--snapshots", "1,5000",
+            "--seed", "3", "--out-dir", str(out_dir)]
+    # "start" sits in the block-buffered stdout when the writer forks, so a
+    # forked process that flushed what it inherited would print it twice
+    code = ("import os, sys\n"
+            "assert not (sys.stdout.write_through or sys.stdout.line_buffering)\n"
+            "import attrakit.simulate as simulate\n"
+            f"simulate._usable_cpus = lambda: {ranges}\n"
+            "forks = []\n"
+            "fork = os.fork\n"
+            "def counting_fork():\n"
+            "    pid = fork()\n"
+            "    forks.append(pid)\n"
+            "    return pid\n"
+            "os.fork = counting_fork\n"
+            "print('start')\n"
+            "from attrakit.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print('forks', len(forks), file=sys.stderr)\n"
+            "sys.exit(code)\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**env, "PYTHONPATH": str(src)}, timeout=120)
+
+
+def test_simulate_split_csv_writer_matches_serial_run(tmp_path):
+    split = run_simulate_in_ranges(tmp_path / "split", 2)
+    serial = run_simulate_in_ranges(tmp_path / "serial", 1)
+    for done in (split, serial):
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == "start" and len(lines) == 2
+        assert sum(line.startswith("steps=5000 ") for line in lines) == 1
+    assert split.stdout == serial.stdout
+    assert split.stderr == "forks 1\n" and serial.stderr == "forks 0\n"
+    hashes = [{Path(o["path"]).name: o["sha256"]
+               for o in json.loads((tmp_path / label / "manifest.json").read_text())["outputs"]}
+              for label in ("split", "serial")]
+    assert hashes[0] == hashes[1]
+    assert sorted(hashes[0]) == ["slowfast.json", "snapshots.csv", "system.json",
+                                 "trajectory.csv"]
+    assert sorted(p.name for p in (tmp_path / "split").iterdir()) == sorted(
+        ["manifest.json", *hashes[0]])
+
+
 def test_readme_recipes_parse():
     # every `attrakit ...` line of README's command-line block, continuations joined
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -1,5 +1,6 @@
 import csv
 import io
+import os
 import tracemalloc
 import warnings
 
@@ -324,6 +325,41 @@ def test_bound_field_matches_eval_field_bitwise(form, activation):
             assert np.array_equal(field(x), eval_field(sys_n, x))
 
 
+def matmul_field(sys_n, x):
+    # the field written with @, as bound_field computed it before ndarray.dot
+    act = Activation(sys_n.activation)
+    if sys_n.form is SystemForm.post_activation:
+        return -x + sys_n.W @ act(x) + sys_n.b
+    return act(sys_n.W @ x + sys_n.b) - sys_n.A @ x
+
+
+@pytest.mark.parametrize("form", list(SystemForm))
+@pytest.mark.parametrize("activation", list(Activation))
+@pytest.mark.parametrize("n", [2, 3, 7, 40, 64, 130])
+def test_bound_field_bits_match_matmul(form, activation, n):
+    rng = np.random.default_rng(n)
+    for case in range(6):
+        W, A = rng.standard_normal((2, n, n))
+        b, x = rng.standard_normal((2, n))
+        if case % 2:
+            # planted signed zeros, in every operand and in whole rows
+            for arr in (W, A, b, x):
+                arr.flat[rng.choice(arr.size, max(1, arr.size // 3), replace=False)] = -0.0
+            W[0] = -0.0
+            x[:n // 2] = -0.0
+        sys_n = make_system(W=W, A=A, b=b, activation=activation, form=form)
+        assert bound_field(sys_n)(x).tobytes() == matmul_field(sys_n, x).tobytes()
+
+
+def test_bound_field_keeps_negative_zero_at_n1():
+    # the one case where ndarray.dot and @ differ: a single product of -0
+    sys1 = make_system(W=[[2.0]], A=[[-0.5]], b=[-0.0],
+                       activation=Activation.identity, form=SystemForm.discrete_map)
+    x = np.array([-0.0])
+    assert np.signbit(bound_field(sys1)(x)[0])
+    assert not np.signbit(matmul_field(sys1, x)[0])
+
+
 @pytest.mark.parametrize("form", list(SystemForm))
 @pytest.mark.parametrize("activation", list(Activation))
 def test_bound_jacobian_matches_jacobian_analytic_bitwise(form, activation):
@@ -592,3 +628,133 @@ def test_csv_reader_rejects_any_dropped_or_extra_cell(tmp_path_factory, kind, n,
     path.write_bytes("".join(v + "\r\n" for v in lines).encode())
     with pytest.raises(ValueError, match="line"):
         trajectory_from_csv(path)
+
+
+R = simulate._RANGE_MIN_ROWS
+
+
+def csv_writer(layout, rows):
+    """A function writing `layout` with `rows` rows to a path, as the CLI does."""
+    rng = np.random.default_rng(rows)
+    if rows < 100_000:
+        states = rng.standard_normal((rows + 1, 3)) * 10.0 ** rng.integers(-300, 300,
+                                                                           (rows + 1, 3))
+        states.flat[:4] = [-0.0, 5e-324, 1e300, 0.1]
+    else:  # long enough for three ranges; short numbers keep it quick
+        states = rng.standard_normal((rows + 1, 1))
+    times = np.arange(rows + 1, dtype=float) * 1e-3
+    if layout == "discrete":
+        # rows + 1 states: the writer's second call gets `rows` rows
+        traj = Trajectory(states=states, times=times, speeds=rng.exponential(size=rows),
+                          kind="discrete")
+        return lambda path: trajectory_to_csv(traj, path)
+    if layout == "continuous":
+        columns = [times[:rows], states[:rows], rng.exponential(size=rows)]
+        steps = range(rows)
+    else:  # snapshots: a list of steps, as the CLI passes them
+        steps = sorted(rng.choice(rows + 1, rows, replace=False).tolist())
+        columns = [times[steps], states[steps]]
+
+    def write(path):
+        with open(path, "w", newline="") as fh:
+            simulate.write_csv_rows(fh, steps, columns)
+    return write
+
+
+def count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("rows, ranges", [
+    *[(rows, 2) for rows in (0, 1, 255, 256, 257, 2 * R - 1, 2 * R, 2 * R + 1, 100_001)],
+    *[(rows, 3) for rows in (2 * R, 3 * R - 1, 3 * R + 1, 100_001)],
+])
+@pytest.mark.parametrize("layout", ["discrete", "continuous", "snapshots"])
+def test_split_csv_writer_bytes_match_serial_reference(tmp_path, monkeypatch, layout, rows,
+                                                       ranges):
+    # rows below 2 * R stay in one range; ranges never exceed rows // R
+    write = csv_writer(layout, rows)
+    # the one-range path, which the csv-module reference test pins
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+    write(tmp_path / "serial.csv")
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: ranges)
+    forks = count_forks(monkeypatch)
+    out = tmp_path / "split"
+    out.mkdir()
+    write(out / "out.csv")
+    assert (out / "out.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert len(forks) == max(0, min(ranges, rows // R) - 1)
+    assert_no_child_left()
+    assert os.listdir(out) == ["out.csv"]
+
+
+def failing_in(monkeypatch, which):
+    """Make np.column_stack raise in the parent or in the forked processes only."""
+    parent = os.getpid()
+    column_stack = np.column_stack
+
+    def stack(arrays):
+        if (os.getpid() == parent) == (which == "parent"):
+            raise RuntimeError(f"formatting failed in the {which}")
+        return column_stack(arrays)
+    monkeypatch.setattr(np, "column_stack", stack)
+
+
+@pytest.mark.parametrize("ranges", [2, 3])
+def test_split_csv_writer_child_failure_raises_oserror(tmp_path, monkeypatch, ranges):
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: ranges)
+    write = csv_writer("continuous", 3 * R + 1)
+    failing_in(monkeypatch, "child")
+    with pytest.raises(OSError, match=r"out\.csv: the process formatting rows"):
+        write(tmp_path / "out.csv")
+    assert_no_child_left()
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_split_csv_writer_reaps_children_when_its_own_range_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 3)
+    forks = count_forks(monkeypatch)
+    write = csv_writer("snapshots", 3 * R + 1)
+    failing_in(monkeypatch, "parent")
+    with pytest.raises(RuntimeError, match="in the parent"):
+        write(tmp_path / "out.csv")
+    assert len(forks) == 2
+    assert_no_child_left()
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def test_split_csv_writer_appends_without_sendfile(tmp_path, monkeypatch):
+    # Linux's sendfile rejects an O_APPEND target with EINVAL; the parts are
+    # then copied in bounded binary chunks
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+    steps, columns = range(2 * R + 1), [np.arange(2 * R + 1) / 7.0]
+    with open(tmp_path / "serial.csv", "w", newline="") as fh:
+        simulate.write_csv_rows(fh, steps, columns)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    preads = []
+    pread = os.pread
+    monkeypatch.setattr(os, "pread", lambda *args: preads.append(args) or pread(*args))
+    out = tmp_path / "split"
+    out.mkdir()
+    with open(out / "out.csv", "a", newline="") as fh:
+        fh.write("step,x\r\n")
+        simulate.write_csv_rows(fh, steps, columns)
+        fh.write("end\r\n")
+    assert ((out / "out.csv").read_bytes()
+            == b"step,x\r\n" + (tmp_path / "serial.csv").read_bytes() + b"end\r\n")
+    assert preads and all(count <= simulate._COPY_BYTES for _, count, _ in preads)
+    assert_no_child_left()
