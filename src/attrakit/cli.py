@@ -296,6 +296,8 @@ def cmd_probe(args):
                 natural = nat.inputs
         train_data = data
     else:
+        if args.classes < 2:
+            raise ValueError(f"--classes must be >= 2, got {args.classes}")
         # two extra clusters serve as unseen-class and natural-noise probes;
         # only the first `classes` labels get logit slots
         blobs = synth_blobs(args.classes + 2, args.dim, args.per_class,
@@ -381,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--z", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--c-max", type=float, default=10.0)
+    p.add_argument("--c-max", type=_positive, default=10.0)
     p.add_argument("--samples", type=int, default=25)
     p.set_defaults(func=cmd_construct)
 

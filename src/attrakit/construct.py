@@ -73,8 +73,8 @@ class ConstructedAttractor:
             raise ValueError(f"need z >= 1, got z={self.z}")
         if self.sys.n != self.p + self.z:
             raise ValueError("system dimension must equal p + z")
-        if self.c_max <= 0:
-            raise ValueError(f"c_max must be positive, got {self.c_max}")
+        if not (np.isfinite(self.c_max) and self.c_max > 0):
+            raise ValueError(f"c_max must be a finite number > 0, got {self.c_max}")
         basis = np.array(self.basis, dtype=float)
         W_ZP = np.array(self.W_ZP, dtype=float)
         b_Z = np.array(self.b_Z, dtype=float).reshape(-1)
@@ -127,8 +127,8 @@ def construct_relu_attractor(p: int, z: int, m: int, seed: int,
         raise ValueError(f"need 1 <= m <= p, got m={m}, p={p}")
     if z < 1:
         raise ValueError(f"need z >= 1, got z={z}")
-    if c_max <= 0:
-        raise ValueError(f"c_max must be positive, got {c_max}")
+    if not (np.isfinite(c_max) and c_max > 0):
+        raise ValueError(f"c_max must be a finite number > 0, got {c_max}")
     rng = np.random.default_rng(seed)
 
     groups = np.array_split(rng.permutation(p), m)

@@ -8,10 +8,12 @@ dimension minus the numerical rank of the residual Jacobian there.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _forked
 from .dynsys import (
     DynamicalSystem,
     SystemForm,
@@ -53,6 +55,12 @@ _LM_MU_FLOOR = 1e-12
 _LM_TRIES = 12
 _LM_STALL_STEPS = 5
 _LM_STALL_GAIN = 0.1
+
+# find_equilibria gives each usable CPU a range of at least this many starts.
+# Forking and reaping a ~37 MiB process costs 2.3-3.6 ms and one n = 40 start
+# takes 1.0-1.4 ms to refine, so a forked range of 8 starts takes 8-11 ms of
+# refinement off this process for under 4 ms of process
+_RANGE_MIN_STARTS = 8
 
 
 class NotAnEquilibriumError(ValueError):
@@ -214,6 +222,27 @@ def _newton_refine(F, DF, x0, tol, max_iter=100):
     return x, norms[-1] <= tol
 
 
+def _converged_points(F, DF, starts, tol) -> list[np.ndarray]:
+    """The points of the starts that _newton_refine converges, in start order.
+
+    The starts are cut into one contiguous range per usable CPU, each of at
+    least _RANGE_MIN_STARTS starts, and forked processes refine every range
+    after the first (see _forked.run_in_ranges); each range gives one
+    float64 row (x, converged) per start.
+    """
+    def refine(lo, hi, out):
+        for x0 in starts[lo:hi]:
+            x, ok = _newton_refine(F, DF, x0, tol)
+            out.write(np.append(x, float(ok)).tobytes())
+
+    rows = io.BytesIO()
+    _forked.run_in_ranges(refine, _forked.range_cuts(len(starts), _RANGE_MIN_STARTS), rows,
+                          lambda part: rows.write(part.read()))
+    table = np.frombuffer(rows.getvalue()).reshape(len(starts), -1)
+    # copies, so the table is freed before the reports are built
+    return [row[:-1].copy() for row in table if row[-1]]
+
+
 def _as_box(box, n):
     box = np.asarray(box, dtype=float)
     if not np.all(np.isfinite(box)):
@@ -250,15 +279,15 @@ def find_equilibria(
     Generator seeded with `seed`, so the result is deterministic for a
     given seed. Converged points are sorted lexicographically and then
     deduplicated (distance below 1e-6 * (1 + |x|)), which makes the output
-    independent of start order.
+    independent of start order. On Linux the starts are refined in one
+    forked process per usable CPU, with the same result as in one process.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
     starts = _uniform_in_box(_as_box(box, sys.n), n_starts, seed)
     # kinks crossed mid-iteration are expected; DF applies the convention silently
     F, DF = _bound_residual(sys)
-    results = (_newton_refine(F, DF, x0, tol) for x0 in starts)
-    converged = sorted((x for x, ok in results if ok), key=tuple)
+    converged = sorted(_converged_points(F, DF, starts, tol), key=tuple)
     kept: list[np.ndarray] = []
     for x in converged:
         limit = 1e-6 * (1.0 + float(np.linalg.norm(x)))

@@ -101,8 +101,9 @@ class Dataset:
             raise ValueError(
                 f"labels must lie in [0, {self.n_classes}), "
                 f"got range [{labels.min()}, {labels.max()}]")
-        if inputs.min() < 0.0 or inputs.max() > 1.0:
-            raise ValueError("inputs must be scaled to [0, 1]")
+        # phrased so that a NaN input fails too
+        if not (inputs.min() >= 0.0 and inputs.max() <= 1.0):
+            raise ValueError("inputs must be finite and scaled to [0, 1]")
         for arr in (inputs, labels):
             arr.setflags(write=False)
         object.__setattr__(self, "inputs", inputs)
@@ -342,8 +343,8 @@ def synth_blobs(C: int, d: int, per_class: int, separation: float,
         raise ValueError(f"need d >= C for vertex placement, got d={d}, C={C}")
     if per_class < 1:
         raise ValueError(f"per_class must be >= 1, got {per_class}")
-    if separation < 0:
-        raise ValueError(f"separation must be non-negative, got {separation}")
+    if not (np.isfinite(separation) and separation >= 0):
+        raise ValueError(f"separation must be a finite number >= 0, got {separation}")
     rng = np.random.default_rng(seed)
     centers = separation * np.eye(C, d)
     labels = np.repeat(np.arange(C), per_class)

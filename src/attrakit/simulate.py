@@ -10,7 +10,6 @@ collapse.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import errno
 import math
@@ -20,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _forked
 from .dynsys import Activation, DynamicalSystem, SystemForm, _check_state, bound_field
 
 __all__ = [
@@ -257,15 +257,8 @@ def sine_map_system(n: int = 3, top: float = 1.0, ratio: float = 100.0,
                            activation=Activation.sine, form=SystemForm.discrete_map)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _append_part(fh, part) -> None:
-    """Append the bytes of the binary file part to fh, never as Python text."""
+    """Append the bytes of the file part to fh, through descriptors, never as Python text."""
     fh.flush()
     out, src = fh.fileno(), part.fileno()
     offset, size = 0, os.fstat(src).st_size
@@ -296,53 +289,27 @@ def write_csv_rows(fh, steps, columns, end: str = "\r\n") -> None:
     _RANGE_MIN_ROWS rows. A forked process formats each range after the
     first into an unnamed file in fh's directory while this one formats
     the first into fh; the parts are then appended in order, so the bytes
-    are those of one range. A range whose process fails raises OSError.
+    are those of one range. A range whose process fails is formatted again
+    here (see _forked.run_in_ranges).
     """
     width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
     fmt = "%d" + ",%.17g" * width + end
 
-    def format_rows(write, lo, hi):
+    def format_rows(lo, hi, out):
         for a in range(lo, hi, _BLOCK_ROWS):
             b = min(a + _BLOCK_ROWS, hi)
             block = np.column_stack([steps[a:b]] + [c[a:b] for c in columns])
-            write((fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+            out.write((fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
     rows = len(steps)
-    ranges = 1
-    if hasattr(os, "fork") and isinstance(getattr(fh, "name", None), str):
-        ranges = max(1, min(_usable_cpus(), rows // _RANGE_MIN_ROWS))
-    blocks = -(-rows // _BLOCK_ROWS)
-    cuts = [min(rows, i * blocks // ranges * _BLOCK_ROWS) for i in range(ranges + 1)]
-    with contextlib.ExitStack() as parts:
-        children = []  # (pid, part file) per range after the first
-        try:
-            for lo, hi in zip(cuts[1:-1], cuts[2:]):
-                part = parts.enter_context(tempfile.TemporaryFile(
-                    dir=os.path.dirname(os.path.abspath(fh.name))))
-                # Forking here is safe although OpenBLAS's thread pool makes
-                # the process multi-threaded (Python >= 3.12 warns about that):
-                # the child only formats floats and writes its own file, so it
-                # calls no BLAS and takes no lock another thread could be
-                # holding. It leaves through os._exit, so it never flushes the
-                # buffers it inherited (fh, stdout) or returns into the caller.
-                pid = os.fork()
-                if pid == 0:
-                    status = 1
-                    try:
-                        format_rows(lambda text: part.write(text.encode(fh.encoding)), lo, hi)
-                        part.flush()
-                        status = 0
-                    finally:
-                        os._exit(status)
-                children.append((pid, part))
-            format_rows(fh.write, cuts[0], cuts[1])
-        finally:
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
-        for (_, part), code, lo, hi in zip(children, codes, cuts[1:-1], cuts[2:]):
-            if code != 0:
-                raise OSError(f"{fh.name}: the process formatting rows {lo}..{hi - 1} "
-                              f"exited with status {code}")
-            _append_part(fh, part)
+    if isinstance(getattr(fh, "name", None), str):
+        cuts = _forked.range_cuts(rows, _RANGE_MIN_ROWS, _BLOCK_ROWS)
+    else:
+        cuts = [0, rows]
+    _forked.run_in_ranges(
+        format_rows, cuts, fh, lambda part: _append_part(fh, part),
+        lambda: tempfile.TemporaryFile("w+", encoding=fh.encoding, newline="",
+                                       dir=os.path.dirname(os.path.abspath(fh.name))))
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -9,6 +9,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -520,6 +521,33 @@ def test_probe_counts_below_one_exit_2_naming_the_flag(tmp_path, capsys, flag, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--separation", "nan"], "separation must be a finite number >= 0, got nan"),
+    (["--separation", "inf"], "separation must be a finite number >= 0, got inf"),
+    (["--classes", "1"], "--classes must be >= 2, got 1"),
+    (["--classes", "0"], "--classes must be >= 2, got 0"),
+])
+def test_probe_bad_synthetic_data_exits_2_before_training(tmp_path, capsys, flags, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["probe", "--synthetic", *flags, "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_construct_c_max_not_finite_and_positive_exits_2_naming_the_flag(tmp_path, capsys,
+                                                                         value):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--p", "4", "--z", "2", "--m", "1", "--c-max", value,
+              "--out-dir", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert (f"argument --c-max: must be a finite number > 0, got {value}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
+
+
 def test_svd_report_csv_matrix(tmp_path):
     matrix_path = tmp_path / "m.csv"
     np.savetxt(matrix_path, np.diag([4.0, 3.0, 0.0]), delimiter=",")
@@ -606,8 +634,8 @@ def run_simulate_in_ranges(out_dir: Path, ranges: int):
     # forked process that flushed what it inherited would print it twice
     code = ("import os, sys\n"
             "assert not (sys.stdout.write_through or sys.stdout.line_buffering)\n"
-            "import attrakit.simulate as simulate\n"
-            f"simulate._usable_cpus = lambda: {ranges}\n"
+            "import attrakit._forked as _forked\n"
+            f"_forked.usable_cpus = lambda: {ranges}\n"
             "forks = []\n"
             "fork = os.fork\n"
             "def counting_fork():\n"
@@ -668,3 +696,32 @@ def test_analyze_rerun_reproduces_hashes(tmp_path):
     assert main(args + ["--out-dir", str(a)]) == 0
     assert main(args + ["--out-dir", str(b)]) == 0
     assert out_hashes(a) == out_hashes(b)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_analyze_on_every_cpu_matches_a_one_cpu_run(tmp_path):
+    # analyze refines its 64 starts in one range per usable CPU; the run
+    # pinned to one CPU forks nothing, and both must give the same bytes
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def pin_to_one_cpu():
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+    def run(argv, preexec_fn):
+        done = subprocess.run([sys.executable, "-m", "attrakit.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120,
+                              preexec_fn=preexec_fn)
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        return done.stdout
+
+    runs = []
+    for preexec_fn in (None, pin_to_one_cpu):
+        out = tmp_path / ("one" if preexec_fn else "every")
+        stdout = run(["construct", "--p", "6", "--z", "4", "--m", "2",
+                      "--out-dir", str(out / "construct")], preexec_fn)
+        stdout += run(["analyze", str(out / "construct" / "system.json"), "--starts", "64",
+                       "--out-dir", str(out / "analyze")], preexec_fn)
+        runs.append((stdout, out_hashes(out / "construct"), out_hashes(out / "analyze")))
+    assert runs[0] == runs[1]
+    assert list(runs[0][2]) == ["equilibria.json"]

@@ -149,6 +149,16 @@ def test_rejects_degenerate_requests():
         sample_attractor_points(hand_line_instance(), 0, seed=0)
 
 
+@pytest.mark.parametrize("c_max", [float("nan"), float("inf"), 0.0, -1.0])
+def test_rejects_c_max_that_is_not_finite_and_positive(c_max):
+    with pytest.raises(ValueError, match="c_max must be a finite number > 0"):
+        construct_relu_attractor(p=3, z=1, m=1, seed=0, c_max=c_max)
+    ca = construct_relu_attractor(p=3, z=1, m=1, seed=0)
+    with pytest.raises(ValueError, match="c_max must be a finite number > 0"):
+        ConstructedAttractor(sys=ca.sys, p=ca.p, z=ca.z, m=ca.m, basis=ca.basis,
+                             W_ZP=ca.W_ZP, b_Z=ca.b_Z, c_max=c_max)
+
+
 def test_w_zp_row_scaling_keeps_dimension():
     base = construct_relu_attractor(p=4, z=2, m=2, seed=20, c_max=5.0)
     scale = 5.0

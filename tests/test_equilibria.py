@@ -1,8 +1,10 @@
+import os
 import warnings
 
 import numpy as np
 import pytest
 
+from attrakit import _forked, equilibria
 from attrakit.cli import subseed
 from attrakit.construct import construct_relu_attractor, sample_attractor_points
 from attrakit.dynsys import Activation, KinkWarning, SystemForm, make_system
@@ -376,7 +378,12 @@ def test_non_finite_box_is_rejected(box):
 
 
 def counting_residual(monkeypatch):
-    """Make find_equilibria count its residual and Jacobian calls."""
+    """Make find_equilibria count its residual and Jacobian calls.
+
+    The search runs in one range, since a forked range would count in its
+    own process.
+    """
+    monkeypatch.setattr(_forked, "usable_cpus", lambda: 1)
     counts = {"F": 0, "DF": 0}
     bind = _bound_residual
 
@@ -442,3 +449,74 @@ def test_stall_stop_needs_ten_percent_over_five_accepted_steps(ratio, residual_c
     x, ok = _newton_refine(F, lambda x: np.eye(1), np.zeros(1), 1e-10)
     assert len(calls) == residual_calls
     assert not ok
+
+
+S = equilibria._RANGE_MIN_STARTS
+
+
+def search_case(name):
+    """(system, box) of a constructed n = 40 instance or a small n = 3 tanh system."""
+    if name == "n40":
+        return construct_relu_attractor(p=24, z=16, m=3, seed=subseed(15, 0)).sys, (-5.0, 5.0)
+    W = [[1.0, 0.1, 0.0], [0.1, 1.0, 0.05], [0.0, 0.05, 1.0]]
+    return make_system(W=W, A=0.5 * np.eye(3), b=[0.0, 0.01, -0.02],
+                       activation=Activation.tanh, form=SystemForm.pre_activation), (-3.0, 3.0)
+
+
+def search_in_ranges(monkeypatch, sys1, box, n_starts, cpus):
+    monkeypatch.setattr(_forked, "usable_cpus", lambda: cpus)
+    return find_equilibria(sys1, box=box, n_starts=n_starts, seed=5)
+
+
+def assert_same_reports(got, want):
+    assert [r.point.tobytes() for r in got] == [r.point.tobytes() for r in want]
+    assert reports_to_json(got) == reports_to_json(want)
+
+
+@pytest.mark.parametrize("ranges", [2, 3])
+@pytest.mark.parametrize("name", ["n40", "tanh3"])
+def test_search_in_ranges_matches_one_range(monkeypatch, forks, name, ranges):
+    sys1, box = search_case(name)
+    want = search_in_ranges(monkeypatch, sys1, box, 8 * S, 1)
+    assert len(want) >= 5 and forks == []
+    got = search_in_ranges(monkeypatch, sys1, box, 8 * S, ranges)
+    assert len(forks) == ranges - 1
+    assert_same_reports(got, want)
+
+
+@pytest.mark.parametrize("cpus, n_starts, forked", [
+    (2, 2 * S - 1, 0), (2, 2 * S, 1), (3, 3 * S - 1, 1), (3, 3 * S, 2),
+])
+def test_search_forks_only_ranges_of_enough_starts(monkeypatch, forks, cpus, n_starts, forked):
+    sys1, box = search_case("tanh3")
+    want = search_in_ranges(monkeypatch, sys1, box, n_starts, 1)
+    got = search_in_ranges(monkeypatch, sys1, box, n_starts, cpus)
+    assert len(forks) == forked
+    assert_same_reports(got, want)
+
+
+@pytest.mark.parametrize("ranges", [2, 3])
+def test_search_refines_a_failed_range_again_here(monkeypatch, forks, ranges):
+    sys1, box = search_case("n40")
+    want = search_in_ranges(monkeypatch, sys1, box, 4 * S, 1)
+    parent, refine = os.getpid(), _newton_refine
+
+    def failing_in_child(*args, **kwargs):
+        if os.getpid() != parent:
+            raise RuntimeError("refinement failed in a forked process")
+        return refine(*args, **kwargs)
+    monkeypatch.setattr(equilibria, "_newton_refine", failing_in_child)
+    got = search_in_ranges(monkeypatch, sys1, box, 4 * S, ranges)
+    assert len(forks) == ranges - 1
+    assert_same_reports(got, want)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_search_raises_the_error_of_one_range(monkeypatch, forks, cpus):
+    def failing(*args, **kwargs):
+        raise ValueError(f"refinement failed in process {os.getpid()}")
+    monkeypatch.setattr(equilibria, "_newton_refine", failing)
+    sys1, box = search_case("tanh3")
+    with pytest.raises(ValueError, match=f"refinement failed in process {os.getpid()}$"):
+        search_in_ranges(monkeypatch, sys1, box, 4 * S, cpus)
+    assert len(forks) == cpus - 1

@@ -156,6 +156,9 @@ def test_blob_validation():
         synth_blobs(C=5, d=3, per_class=5, separation=1.0)
     with pytest.raises(ValueError):
         synth_blobs(C=2, d=4, per_class=5, separation=-1.0)
+    for separation in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="separation must be a finite number >= 0"):
+            synth_blobs(C=2, d=4, per_class=5, separation=separation)
 
 
 def test_dataset_validation():
@@ -163,6 +166,10 @@ def test_dataset_validation():
         Dataset(inputs=np.zeros((2, 3)), labels=np.array([0, 5]), n_classes=3)
     with pytest.raises(ValueError):
         Dataset(inputs=np.full((2, 3), 1.5), labels=np.array([0, 1]), n_classes=2)
+    inputs = np.full((2, 3), 0.5)
+    inputs[1, 2] = np.nan  # NaN compares False with both bounds
+    with pytest.raises(ValueError, match="inputs must be finite and scaled to"):
+        Dataset(inputs=inputs, labels=np.array([0, 1]), n_classes=2)
 
 
 def test_exclude_label_partitions():
