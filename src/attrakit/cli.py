@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from .construct import (
     save_constructed,
     verify_construction,
 )
-from .dynsys import SystemForm, _json_numbers, _write_json, load_system, save_system, write_json
+from .dynsys import SystemForm, _json_numbers, load_system, save_system, write_json
 from .equilibria import _report_to_json, find_equilibria
 from .probe import (
     HELD_OUT_CLASS,
@@ -146,7 +147,7 @@ def cmd_analyze(args):
     out_dir = Path(args.out_dir)
     eq_path = out_dir / "equilibria.json"
     # each report is turned into JSON as it is written, not the whole list up front
-    _write_json(eq_path, reports, default=_report_to_json)
+    write_json(eq_path, reports, default=_report_to_json)
     print(f"{len(reports)} equilibria in box [{args.box[0]}, {args.box[1]}]^{sys_obj.n}")
     print(f"{'#':>3} {'residual':>12} {'rank':>5} {'dim':>4} "
           f"{'stability':>10} {'grazing':>7}  point")
@@ -185,6 +186,17 @@ def _positive(text: str) -> float:
     return value
 
 
+def _finite(low: float = -np.inf):
+    """argparse type of a finite number of at least `low`."""
+    def finite(text: str) -> float:
+        value = float(text)
+        if not (np.isfinite(value) and value >= low):
+            bound = f" >= {low:g}" if low > -np.inf else ""
+            raise argparse.ArgumentTypeError(f"must be a finite number{bound}, got {text}")
+        return value
+    return finite
+
+
 def _fraction(text: str) -> float:
     """argparse type of a fraction flag: a number in the open interval (0, 1)."""
     value = float(text)
@@ -208,12 +220,20 @@ def cmd_simulate(args):
     inputs = []
     outputs = []
     snapshots = _parse_snapshots(args.snapshots) if args.snapshots else []
+    # only the --gen-* flags given are attributes; the rest take
+    # sine_map_system's defaults, except a uniform system's top and ratio
+    gen = {key[len("gen_"):]: value for key, value in vars(args).items()
+           if key.startswith("gen_")}
+    for key in gen:
+        flag = "--gen-" + key.replace("_", "-")
+        if args.gen is None:
+            raise ValueError(f"{flag} applies only to a generated system (--gen)")
+        if args.gen == "uniform" and key == "ratio":
+            raise ValueError(f"{flag} applies only to --gen stratified")
+    if args.gen == "uniform":
+        gen = {"top": 0.3, **gen, "ratio": 1.0}
     if args.gen is not None:
-        ratio = args.gen_ratio if args.gen == "stratified" else 1.0
-        top = args.gen_top if args.gen == "stratified" else args.gen_uniform_top
-        sys_obj = sine_map_system(n=args.gen_n, top=top, ratio=ratio,
-                                  alpha=args.gen_alpha, b_scale=args.gen_b_scale,
-                                  seed=subseed(args.seed, _STREAM_GEN))
+        sys_obj = sine_map_system(**gen, seed=subseed(args.seed, _STREAM_GEN))
     elif args.system is not None:
         system_path = Path(args.system)
         sys_obj = load_system(system_path)
@@ -347,8 +367,15 @@ def _load_matrix(path: Path) -> np.ndarray:
         d = json.loads(path.read_text())
         if not isinstance(d, dict) or "W" not in d:
             raise ValueError(f"{path}: no 'W' matrix in system file")
-        return _json_numbers("W", d["W"])
-    return np.atleast_2d(np.loadtxt(path, delimiter=","))
+        M = _json_numbers("W", d["W"])
+    else:
+        with warnings.catch_warnings():
+            # numpy warns on a file without data; the check below names the file
+            warnings.simplefilter("ignore", UserWarning)
+            M = np.loadtxt(path, delimiter=",", ndmin=2)
+    if M.ndim != 2 or M.size == 0:
+        raise ValueError(f"{path}: expected a matrix with entries, got shape {M.shape}")
+    return M
 
 
 def cmd_svd_report(args):
@@ -400,12 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("system", nargs="?")
     p.add_argument("--gen", choices=("stratified", "uniform"),
                    help="generate a sine-map system instead of reading one")
-    p.add_argument("--gen-n", type=_count, default=3)
-    p.add_argument("--gen-ratio", type=float, default=100.0)
-    p.add_argument("--gen-top", type=float, default=1.0)
-    p.add_argument("--gen-uniform-top", type=float, default=0.3)
-    p.add_argument("--gen-alpha", type=float, default=0.05)
-    p.add_argument("--gen-b-scale", type=float, default=0.005)
+    # a --gen-* flag not given is no attribute, so cmd_simulate can tell it apart
+    p.add_argument("--gen-n", type=_count, default=argparse.SUPPRESS)
+    p.add_argument("--gen-top", type=_positive, default=argparse.SUPPRESS,
+                   help="default 1.0 stratified, 0.3 uniform")
+    p.add_argument("--gen-ratio", type=_finite(1.0), default=argparse.SUPPRESS,
+                   help="stratified only; default 100")
+    p.add_argument("--gen-alpha", type=_finite(0.0), default=argparse.SUPPRESS)
+    p.add_argument("--gen-b-scale", type=_finite(), default=argparse.SUPPRESS)
     p.add_argument("--steps", type=_count)
     p.add_argument("--t-end", type=_positive)
     p.add_argument("--dt", type=_positive)

@@ -227,24 +227,17 @@ def system_from_dict(d: dict) -> DynamicalSystem:
                            activation=d["activation"], form=d["form"])
 
 
-def write_json(path, obj, indent: int | None = 2) -> None:
+def write_json(path, obj, indent: int | None = 2, default=None) -> None:
     """Write obj as JSON through a temporary file and an atomic rename.
 
     A reader never sees a half-written file: the path holds either its old
     content or the complete new document. The text is streamed into the
     temporary file rather than built in memory first, and the temporary
     file is removed if writing fails. NaN and infinity raise ValueError,
-    because RFC 8259 JSON has no token for them.
-    """
-    _write_json(path, obj, indent)
-
-
-def _write_json(path, obj, indent: int | None = 2, default=None) -> None:
-    """write_json, with json's `default` hook for objects it cannot encode.
-
-    A caller can pass a list of its own objects and a converter, so each
-    one's JSON form is built only when the encoder reaches it, instead of
-    the whole list's at once.
+    because RFC 8259 JSON has no token for them. `default` is json's hook
+    for objects it cannot encode: a caller can pass a list of its own
+    objects and a converter, so each one's JSON form is built only when the
+    encoder reaches it, instead of the whole list's at once.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")

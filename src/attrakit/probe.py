@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynsys import _DERIV, _VALUE, Activation, write_json
+from .spectral import _row_cv
 
 __all__ = [
     "TRAIN_CLASS",
@@ -488,11 +489,11 @@ def _logit_spectra(net: TinyNet, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     deriv = _DERIV[net.hidden_activation]
     J = np.broadcast_to(net.weights[-1], (X.shape[0],) + net.weights[-1].shape)
     for k in range(len(net.weights) - 1, 0, -1):
-        J = (J * deriv(pre[k - 1])[:, None, :]) @ net.weights[k - 1]
+        # in place once J owns its stack, so no second stack is alive beside it
+        d = deriv(pre[k - 1])[:, None, :]
+        J = np.multiply(J, d, out=J if J.flags.writeable else None) @ net.weights[k - 1]
     s = np.linalg.svd(J, compute_uv=False)
-    mean = s.mean(axis=1)
-    cv = np.divide(s.var(axis=1), mean**2, out=np.zeros_like(mean), where=mean > 0.0)
-    return s, cv
+    return s, _row_cv(s)
 
 
 def train(net: TinyNet, data: Dataset, cfg: TrainConfig,

@@ -48,6 +48,8 @@ def _as_finite_matrix(M) -> np.ndarray:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={M.ndim}")
+    if M.size == 0:
+        raise ValueError(f"matrix has no entries (shape {M.shape[0]}x{M.shape[1]})")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix contains non-finite entries")
     return M
@@ -62,16 +64,16 @@ def svd_factors(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def svd_spectrum(M, rel_tol: float = DEFAULT_RANK_TOL) -> SpectrumReport:
     """SpectrumReport of a (possibly rectangular) matrix."""
     M = _as_finite_matrix(M)
-    s = np.linalg.svd(M, compute_uv=False)
-    cv = cv_metric(s) if s.max(initial=0.0) > 0.0 else 0.0
+    # a stack of one matrix, so its statistics are the row ones every caller shares
+    s = np.linalg.svd(M[None], compute_uv=False)
     eig = None
     if M.shape[0] == M.shape[1]:
         eig = np.linalg.eigvals(M)
     return SpectrumReport(
-        singular_values=s,
-        cv=float(cv),
-        max_gap_ratio=max_gap_ratio(s),
-        numerical_rank=numerical_rank(s, rel_tol),
+        singular_values=s[0],
+        cv=float(_row_cv(s)[0]),
+        max_gap_ratio=float(_row_gap(s)[0]),
+        numerical_rank=int(_row_rank(s, rel_tol)[0]),
         tol_used=float(rel_tol),
         eigenvalues=eig,
     )
@@ -85,21 +87,42 @@ def eig_spectrum(M) -> np.ndarray:
     return np.linalg.eigvals(M)
 
 
+def _row_rank(s: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Numerical rank of each row of a (k, r) stack of descending values: the
+    count of values above rel_tol times the row's first (0 for a zero row)."""
+    if not 0.0 < rel_tol < np.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
+    above = s > rel_tol * s[:, :1]
+    # the count is the index of the first value at or below the cut; a False
+    # column past the end gives r for a row that is above it throughout
+    return np.argmin(np.concatenate([above, np.zeros((len(s), 1), bool)], axis=1), axis=1)
+
+
+def _row_cv(s: np.ndarray) -> np.ndarray:
+    """cv of each row of a (k, r) stack: population variance over the mean
+    squared as a product; 0 for a row whose mean is not positive."""
+    mean = s.mean(axis=1)
+    return np.divide(s.var(axis=1), mean * mean, out=np.zeros_like(mean), where=mean > 0.0)
+
+
+def _row_gap(s: np.ndarray) -> np.ndarray:
+    """Largest ratio of consecutive values in each row of a (k, r) stack:
+    1 for r < 2, inf for a row with a zero past its first value."""
+    if s.shape[1] < 2:
+        return np.ones(len(s))
+    tail = s[:, 1:]
+    return np.divide(s[:, :-1], tail, out=np.full_like(tail, np.inf),
+                     where=tail != 0.0).max(axis=1)
+
+
 def numerical_rank(singular_values, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     """Count singular values above rel_tol * largest (0 if all are zero)."""
     s = np.atleast_1d(np.asarray(singular_values, dtype=float))
-    if not 0.0 < rel_tol < np.inf:
-        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
-    if s.size == 0:
-        return 0
     if np.any(s < 0):
         raise ValueError("singular values must be non-negative")
     if np.any(np.diff(s) > 0):
         raise ValueError("singular values must be sorted descending")
-    s_max = float(s[0])
-    if s_max == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s_max))
+    return int(_row_rank(s.reshape(1, -1), rel_tol)[0])
 
 
 def cv_metric(values) -> float:
@@ -110,17 +133,13 @@ def cv_metric(values) -> float:
     mean = float(v.mean())
     if mean <= 0.0:
         raise UndefinedMetricError(f"cv needs a positive mean, got {mean}")
-    return float(v.var() / mean**2)
+    return float(_row_cv(v.reshape(1, -1))[0])
 
 
 def max_gap_ratio(singular_values) -> float:
     """Largest ratio between consecutive sorted values; inf past a zero."""
     s = np.atleast_1d(np.asarray(singular_values, dtype=float))
-    if s.size < 2:
-        return 1.0
-    if np.any(s[1:] == 0.0):
-        return float("inf")
-    return float(np.max(s[:-1] / s[1:]))
+    return float(_row_gap(s.reshape(1, -1))[0])
 
 
 def spectrum_to_dict(report: SpectrumReport) -> dict:

@@ -365,6 +365,10 @@ def test_simulate_rk4_snapshots_end_at_the_last_step(tmp_path, capsys):
     (["--gen", "uniform", "--steps", "5", "--dt", "0.1"], "--dt"),
     (["--gen", "stratified", "--t-end", "1", "--dt", "0.1"], "--t-end"),
     (["{system}", "--t-end", "1", "--dt", "0.1", "--steps", "5"], "--steps"),
+    (["{system}", "--t-end", "1", "--dt", "0.1", "--gen-ratio", "5", "--gen-n", "7"],
+     "--gen-ratio"),
+    (["{system}", "--t-end", "1", "--dt", "0.1", "--gen-b-scale", "0.1"], "--gen-b-scale"),
+    (["--gen", "uniform", "--steps", "5", "--gen-ratio", "5"], "--gen-ratio"),
 ])
 def test_simulate_rejects_the_other_forms_stepping_flags(tmp_path, capsys, argv, flag):
     system_path = tmp_path / "tanh.json"
@@ -408,6 +412,52 @@ def test_simulate_rejects_theta_before_writing_the_trajectory(tmp_path, capsys, 
     assert exc.value.code == 2
     assert f"argument --theta: must lie in (0, 1), got {theta}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--gen-top", "nan", "must be a finite number > 0, got nan"),
+    ("--gen-top", "-1", "must be a finite number > 0, got -1"),
+    ("--gen-ratio", "nan", "must be a finite number >= 1, got nan"),
+    ("--gen-ratio", "0.5", "must be a finite number >= 1, got 0.5"),
+    ("--gen-alpha", "inf", "must be a finite number >= 0, got inf"),
+    ("--gen-alpha", "-0.1", "must be a finite number >= 0, got -0.1"),
+    ("--gen-b-scale", "inf", "must be a finite number, got inf"),
+    ("--gen-b-scale", "x", "invalid finite value: 'x'"),
+])
+def test_simulate_gen_numbers_exit_2_naming_the_flag(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--gen", "stratified", "--steps", "5", flag, value,
+                  "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_gen_uniform_top_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--gen", "uniform", "--steps", "5", "--gen-uniform-top", "0.3",
+              "--out-dir", str(tmp_path / "run")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("mode, defaults", [
+    ("stratified", ["--gen-n", "3", "--gen-top", "1.0", "--gen-ratio", "100",
+                    "--gen-alpha", "0.05", "--gen-b-scale", "0.005"]),
+    ("uniform", ["--gen-n", "3", "--gen-top", "0.3", "--gen-alpha", "0.05",
+                 "--gen-b-scale", "0.005"]),
+])
+def test_simulate_gen_defaults_depend_on_the_mode(tmp_path, mode, defaults):
+    argv = ["simulate", "--gen", mode, "--steps", "50", "--seed", "4"]
+    assert main(argv + ["--out-dir", str(tmp_path / "implicit")]) == 0
+    assert main(argv + defaults + ["--out-dir", str(tmp_path / "explicit")]) == 0
+    assert out_hashes(tmp_path / "implicit") == out_hashes(tmp_path / "explicit")
+    # the other mode's top gives another system
+    other = "0.3" if mode == "stratified" else "1.0"
+    assert main(argv + ["--gen-top", other, "--out-dir", str(tmp_path / "other")]) == 0
+    assert sha256(tmp_path / "other" / "system.json") != sha256(tmp_path / "implicit" / "system.json")
 
 
 def test_simulate_requires_steps_for_discrete(tmp_path):
@@ -576,6 +626,9 @@ def test_svd_report_system_json(tmp_path):
     ({"W": [[{}, 1.0], [0.0, 1.0]]}, "W must be an array of numbers"),
     ({"W": [["1", 1.0], [0.0, 1.0]]}, "W must be an array of numbers"),
     (3, "no 'W' matrix"),
+    ({"W": [1.0, 2.0]}, "bad.json: expected a matrix with entries, got shape (2,)"),
+    ({"W": []}, "bad.json: expected a matrix with entries, got shape (0,)"),
+    ({"W": [[]]}, "bad.json: expected a matrix with entries, got shape (1, 0)"),
 ])
 def test_svd_report_rejects_a_malformed_system_file(tmp_path, capsys, document, message):
     path = tmp_path / "bad.json"
@@ -583,6 +636,27 @@ def test_svd_report_rejects_a_malformed_system_file(tmp_path, capsys, document, 
     code = main(["svd-report", str(path), "--out-dir", str(tmp_path / "run")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# a comment only\n"])
+def test_svd_report_rejects_a_csv_without_entries(tmp_path, capsys, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["svd-report", str(path), "--out-dir", str(out)])
+    assert code == 2
+    assert f"{path}: expected a matrix with entries, got shape (0, 1)" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("text, shape", [("1\n2\n3\n", "3x1"), ("1,2,3\n", "1x3")])
+def test_svd_report_reads_a_csv_column_as_a_column(tmp_path, capsys, text, shape):
+    path = tmp_path / "v.csv"
+    path.write_text(text)
+    assert main(["svd-report", str(path), "--out-dir", str(tmp_path / "run")]) == 0
+    assert capsys.readouterr().out.startswith(f"{shape} matrix: rank 1")
 
 
 def test_svd_report_rank_tol_flag(tmp_path):

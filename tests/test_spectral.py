@@ -3,8 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attrakit.cli import subseed
+from attrakit.construct import construct_relu_attractor
+from attrakit.equilibria import find_equilibria, residual_jacobian
+from attrakit.probe import TinyNet, _logit_spectra
 from attrakit.spectral import (
     UndefinedMetricError,
+    _row_cv,
+    _row_gap,
+    _row_rank,
     cv_metric,
     eig_spectrum,
     max_gap_ratio,
@@ -184,3 +191,128 @@ def test_spectrum_json_schema():
     assert set(d) == {"singular_values", "cv", "rank", "tol", "max_gap_ratio"}
     assert d["rank"] == 2
     assert d["tol"] == 1e-8
+
+
+# per-row references: the formulas the row functions replaced, the mean squared as a product
+def reference_rank(s, rel_tol):
+    return int(np.count_nonzero(s > rel_tol * s[0])) if s[0] > 0.0 else 0
+
+
+def reference_cv(s):
+    mean = float(s.mean())
+    return float(s.var() / (mean * mean)) if mean > 0.0 else 0.0
+
+
+def reference_gap(s):
+    if s.size < 2:
+        return 1.0
+    if np.any(s[1:] == 0.0):
+        return float("inf")
+    return float(np.max(s[:-1] / s[1:]))
+
+
+def assert_rows_match_reference(S, rel_tol=1e-8):
+    ranks, cvs, gaps = _row_rank(S, rel_tol), _row_cv(S), _row_gap(S)
+    assert ranks.shape == cvs.shape == gaps.shape == (S.shape[0],)
+    assert ranks.tolist() == [reference_rank(s, rel_tol) for s in S]
+    assert cvs.tolist() == [reference_cv(s) for s in S]
+    assert gaps.tolist() == [reference_gap(s) for s in S]
+
+
+@pytest.fixture(scope="module")
+def seed_601_jacobians():
+    # the kept points of `construct --p 24 --z 16 --m 3 --seed 601`,
+    # `analyze --box -5 5 --starts 256 --seed 601`
+    ca = construct_relu_attractor(p=24, z=16, m=3, seed=subseed(601, 0))
+    reports = find_equilibria(ca.sys, box=(-5.0, 5.0), n_starts=256, seed=subseed(601, 2))
+    assert len(reports) == 140
+    return np.array([residual_jacobian(ca.sys, r.point) for r in reports]), reports
+
+
+def test_row_statistics_match_per_row_reference_on_kept_jacobians(seed_601_jacobians):
+    J, reports = seed_601_jacobians
+    S = np.linalg.svd(J, compute_uv=False)
+    for rel_tol in (1e-8, 1e-3):
+        assert_rows_match_reference(S, rel_tol)
+    # the reports were made one matrix at a time, by svd_spectrum
+    assert [r.spectrum.numerical_rank for r in reports] == _row_rank(S, 1e-8).tolist()
+    assert [r.spectrum.cv for r in reports] == _row_cv(S).tolist()
+    assert [r.spectrum.max_gap_ratio for r in reports] == _row_gap(S).tolist()
+    assert all(np.array_equal(r.spectrum.singular_values, s) for r, s in zip(reports, S))
+
+
+def test_row_statistics_match_per_row_reference_on_probe_spectra():
+    net = TinyNet.init([12, 128, 64, 3], seed=5)
+    X = np.random.default_rng(5).standard_normal((2000, 12))
+    S, cvs = _logit_spectra(net, X)
+    assert_rows_match_reference(S)
+    # the probe's cv is the public one, bit for bit, also on the three rows
+    # (1217, 1781, 1833) where squaring the mean with pow rounds differently
+    assert cvs.tolist() == [cv_metric(s) for s in S]
+    assert sum(float(s.var() / float(s.mean()) ** 2) != cv for s, cv in zip(S, cvs)) == 3
+
+
+# a probe spectrum whose cv rounds differently when the mean is squared by pow
+POW_SPLIT_SVS = [1.5274803907900107, 0.8745226679828718, 0.5599104674192902]
+
+
+def test_cv_squares_the_mean_as_a_product():
+    assert cv_metric(POW_SPLIT_SVS) == 0.16659495650974934
+    assert _row_cv(np.array([POW_SPLIT_SVS]))[0] == 0.16659495650974934
+    mean = float(np.mean(POW_SPLIT_SVS))
+    assert float(np.var(POW_SPLIT_SVS) / mean**2) == 0.16659495650974937
+
+
+@pytest.mark.parametrize("S, rank, cv, gap", [
+    ([[0.0, 0.0, 0.0]], 0, 0.0, float("inf")),               # zero matrix
+    ([[2.0]], 1, 0.0, 1.0),                                  # one column
+    ([[0.0]], 0, 0.0, 1.0),
+    ([[4.0, 2.0, 0.0, 0.0]], 2, 2.75 / 2.25, float("inf")),  # trailing zeros
+    ([[3.0, 2.0, 1.0]], 3, 2 / 12, 2.0),                     # every value above the cut
+    ([[1.0, 0.5, 1e-9]], 2, reference_cv(np.array([1.0, 0.5, 1e-9])), 0.5 / 1e-9),
+])
+def test_row_statistics_edge_rows(S, rank, cv, gap):
+    S = np.array(S)
+    assert _row_rank(S, 1e-8).tolist() == [rank]
+    assert _row_cv(S).tolist() == [cv]
+    assert _row_gap(S).tolist() == [gap]
+    assert_rows_match_reference(S)
+
+
+def test_row_statistics_with_no_value_above_the_cut():
+    # rel_tol >= 1 leaves even the largest value at the cut
+    assert _row_rank(np.array([[2.0, 1.0], [1.0, 1.0]]), 1.0).tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_row_statistics_of_empty_and_single_row_stacks(r):
+    empty = np.zeros((0, r))
+    for stat in (_row_cv(empty), _row_gap(empty), _row_rank(empty, 1e-8)):
+        assert stat.shape == (0,)
+    one = np.arange(r, 0, -1, dtype=float)[None]
+    assert_rows_match_reference(one)
+
+
+def test_svd_spectrum_of_stack_of_one_matches_plain_svd():
+    M = np.random.default_rng(6).standard_normal((7, 4))
+    assert np.array_equal(svd_spectrum(M).singular_values,
+                          np.linalg.svd(M, compute_uv=False))
+
+
+def test_trailing_zero_gap_is_json_null():
+    d = spectrum_to_dict(svd_spectrum(np.diag([3.0, 1.0, 0.0])))
+    assert d["max_gap_ratio"] is None
+    assert d["rank"] == 2
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_svd_spectrum_rejects_bad_rank_tol(rel_tol):
+    with pytest.raises(ValueError, match="positive and finite"):
+        svd_spectrum(np.eye(2), rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("M", [np.zeros((0, 3)), np.zeros((2, 0)), []])
+def test_matrix_without_entries_is_rejected(M):
+    for f in (svd_spectrum, svd_factors, eig_spectrum):
+        with pytest.raises(ValueError, match="no entries"):
+            f(M)
