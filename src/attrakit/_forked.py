@@ -1,17 +1,18 @@
 """Run work over contiguous ranges of items, one forked process per usable CPU.
 
 The one place in attrakit that forks. A caller hands over a function
-work(lo, hi, out) that handles the items lo..hi-1 and writes what they give
-to the file-like out. This process runs the first range into the caller's
-sink; a forked process runs each later range into an unnamed temporary
-file, which the caller's join then appends to the sink in range order. So
-the sink ends up as if one process had run every range in order.
+work(lo, hi, out) that handles the items lo..hi-1 and writes the bytes they
+give to the binary file-like out. This process runs the first range into
+the caller's sink; a forked process runs each later range into an unnamed
+temporary file, which is then copied to the sink in range order. So the
+sink ends up as if one process had run every range in order.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import shutil
 import tempfile
 
 
@@ -32,21 +33,22 @@ def range_cuts(count: int, min_per_range: int, unit: int = 1) -> list[int]:
     return [min(count, i * units // ranges * unit) for i in range(ranges + 1)]
 
 
-def run_in_ranges(work, cuts, sink, join, new_part=tempfile.TemporaryFile) -> None:
+def run_in_ranges(work, cuts, sink, part_dir=None) -> None:
     """Run work(cuts[i], cuts[i + 1], out) over every range, as one process would.
 
     This process runs the first range into sink. Each later range runs in a
-    forked process into a part file from new_part(); once every process is
-    reaped, join(part) appends each part, rewound, to sink in range order.
-    A range whose process does not exit 0 is run again here, into sink, at
-    its place in the order, so any error is raised just as a one-process run
-    raises it. With one range nothing is forked.
+    forked process into an unnamed temporary file in part_dir (tempfile's
+    default directory when None); once every process is reaped, each part
+    is rewound and copied to sink in range order. A range whose process
+    does not exit 0 is run again here, into sink, at its place in the
+    order, so any error is raised just as a one-process run raises it. With
+    one range nothing is forked.
     """
     with contextlib.ExitStack() as stack:
         children = []  # (pid, part file) per range after the first
         try:
             for lo, hi in zip(cuts[1:-1], cuts[2:]):
-                part = stack.enter_context(new_part())
+                part = stack.enter_context(tempfile.TemporaryFile(dir=part_dir))
                 # The process is multi-threaded once OpenBLAS has started its
                 # pool (Python >= 3.12 warns about forking then). numpy's
                 # OpenBLAS registers a pthread_atfork handler that shuts the
@@ -72,6 +74,6 @@ def run_in_ranges(work, cuts, sink, join, new_part=tempfile.TemporaryFile) -> No
         for (_, part), code, lo, hi in zip(children, codes, cuts[1:-1], cuts[2:]):
             if code == 0:
                 part.seek(0)
-                join(part)
+                shutil.copyfileobj(part, sink)
             else:
                 work(lo, hi, sink)

@@ -76,6 +76,12 @@ _STREAM_PROBES = 5
 _STREAM_GEN = 6
 _STREAM_DATA = 7
 
+# the probe flags of each data source, with their defaults
+_SOURCE_DEFAULTS = {
+    "synthetic": {"classes": 3, "dim": 12, "per_class": 1000, "separation": 6.0},
+    "mnist": {"max": None, "holdout_digit": None},
+}
+
 
 def subseed(seed: int, stream: int) -> int:
     """Deterministic per-purpose seed derived from the global one."""
@@ -233,6 +239,9 @@ def cmd_simulate(args):
     if args.gen == "uniform":
         gen = {"top": 0.3, **gen, "ratio": 1.0}
     if args.gen is not None:
+        if args.system is not None:
+            raise ValueError(f"give a system file ({args.system}) or --gen {args.gen}, "
+                             "not both")
         sys_obj = sine_map_system(**gen, seed=subseed(args.seed, _STREAM_GEN))
     elif args.system is not None:
         system_path = Path(args.system)
@@ -291,10 +300,9 @@ def cmd_simulate(args):
 
     if snapshots:
         snap_path = out_dir / "snapshots.csv"
-        with open(snap_path, "w", newline="") as fh:
-            fh.write(",".join(["step", "t"] + [f"x_{j + 1}" for j in range(sys_obj.n)])
-                     + "\r\n")
-            write_csv_rows(fh, snapshots, [traj.times[snapshots], traj.states[snapshots]])
+        header = ",".join(["step", "t"] + [f"x_{j + 1}" for j in range(sys_obj.n)])
+        write_csv_rows(snap_path, (header + "\r\n").encode(), snapshots,
+                       [traj.times[snapshots], traj.states[snapshots]])
         outputs.append(snap_path)
     return inputs, outputs
 
@@ -302,6 +310,14 @@ def cmd_simulate(args):
 def cmd_probe(args):
     out_dir = Path(args.out_dir)
     inputs = []
+    # a source flag not given is no attribute: the other source's is an
+    # error, and this source's takes its default
+    source, other = ("mnist", "synthetic") if args.mnist is not None else ("synthetic", "mnist")
+    for key in _SOURCE_DEFAULTS[other]:
+        if hasattr(args, key):
+            raise ValueError(f"--{key.replace('_', '-')} applies only to probe --{other}")
+    for key, value in _SOURCE_DEFAULTS[source].items():
+        vars(args).setdefault(key, value)
     if args.mnist is not None:
         images_path, labels_path = (Path(p) for p in args.mnist)
         data = load_idx(images_path, labels_path, max_items=args.max)
@@ -449,12 +465,13 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--synthetic", action="store_true")
     source.add_argument("--mnist", nargs=2, metavar=("IMAGES", "LABELS"))
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--dim", type=int, default=12)
-    p.add_argument("--per-class", type=_count, default=1000)
-    p.add_argument("--separation", type=float, default=6.0)
-    p.add_argument("--max", type=_count, default=None)
-    p.add_argument("--holdout-digit", type=int, default=None)
+    # a source flag not given is no attribute (see _SOURCE_DEFAULTS)
+    p.add_argument("--classes", type=int, default=argparse.SUPPRESS, help="synthetic only")
+    p.add_argument("--dim", type=int, default=argparse.SUPPRESS, help="synthetic only")
+    p.add_argument("--per-class", type=_count, default=argparse.SUPPRESS, help="synthetic only")
+    p.add_argument("--separation", type=float, default=argparse.SUPPRESS, help="synthetic only")
+    p.add_argument("--max", type=_count, default=argparse.SUPPRESS, help="mnist only")
+    p.add_argument("--holdout-digit", type=int, default=argparse.SUPPRESS, help="mnist only")
     p.add_argument("--epochs", type=_count, default=5)
     p.add_argument("--lr", type=_positive, default=0.02)
     p.add_argument("--batch-size", type=_count, default=32)

@@ -236,8 +236,7 @@ def _converged_points(F, DF, starts, tol) -> list[np.ndarray]:
             out.write(np.append(x, float(ok)).tobytes())
 
     rows = io.BytesIO()
-    _forked.run_in_ranges(refine, _forked.range_cuts(len(starts), _RANGE_MIN_STARTS), rows,
-                          lambda part: rows.write(part.read()))
+    _forked.run_in_ranges(refine, _forked.range_cuts(len(starts), _RANGE_MIN_STARTS), rows)
     table = np.frombuffer(rows.getvalue()).reshape(len(starts), -1)
     # copies, so the table is freed before the reports are built
     return [row[:-1].copy() for row in table if row[-1]]

@@ -152,6 +152,9 @@ class TinyNet:
         self.hidden_activation = Activation(hidden_activation)
         if len(self.weights) != len(self.layer_dims) - 1:
             raise ValueError("one weight matrix per layer transition required")
+        if len(self.biases) != len(self.weights):
+            raise ValueError(f"{len(self.biases)} bias vectors for "
+                             f"{len(self.weights)} weight matrices")
         for k, (W, b) in enumerate(zip(self.weights, self.biases)):
             want = (self.layer_dims[k + 1], self.layer_dims[k])
             if W.shape != want:

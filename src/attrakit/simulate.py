@@ -11,10 +11,8 @@ collapse.
 from __future__ import annotations
 
 import csv
-import errno
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +47,6 @@ _BLOCK_ROWS = 256
 # of the n=3 map takes 0.8-1 ms to format, so a forked range of 8 blocks
 # takes about 7 ms of formatting off the parent for under 3 ms of process
 _RANGE_MIN_ROWS = 8 * _BLOCK_ROWS
-
-# largest chunk _append_part copies through memory where sendfile cannot serve
-_COPY_BYTES = 1 << 16
 
 
 class DivergenceError(RuntimeError):
@@ -257,43 +252,23 @@ def sine_map_system(n: int = 3, top: float = 1.0, ratio: float = 100.0,
                            activation=Activation.sine, form=SystemForm.discrete_map)
 
 
-def _append_part(fh, part) -> None:
-    """Append the bytes of the file part to fh, through descriptors, never as Python text."""
-    fh.flush()
-    out, src = fh.fileno(), part.fileno()
-    offset, size = 0, os.fstat(src).st_size
-    sendfile = getattr(os, "sendfile", None)
-    while offset < size:
-        if sendfile is not None:
-            try:
-                offset += sendfile(out, src, offset, size - offset)
-                continue
-            except OSError as err:  # an O_APPEND file, or a non-Linux sendfile
-                if err.errno not in (errno.EINVAL, errno.ENOSYS, errno.ENOTSOCK):
-                    raise
-                sendfile = None
-        offset += os.write(out, os.pread(src, min(size - offset, _COPY_BYTES), offset))
-
-
-def write_csv_rows(fh, steps, columns, end: str = "\r\n") -> None:
-    """Write `step,v_1,...,v_k` CSV rows ending in `end` to fh.
+def write_csv_rows(path, head: bytes, steps, columns) -> None:
+    """Write head, then `step,v_1,...,v_k` CRLF rows, to a new file at path.
 
     steps (a sequence of integers, a range too) gives each row's first
     cell; the values come from the aligned 1-D or 2-D arrays in columns
     and are printed with `%.17g` (a bit-exact round trip). Rows are
-    formatted and written in blocks of _BLOCK_ROWS, so no table of the
-    whole output is built.
+    formatted as bytes and written in blocks of _BLOCK_ROWS, so no table
+    of the whole output is built.
 
-    When fh is a named file, the rows are cut at block boundaries into
-    one range per usable CPU, as far as each range gets at least
-    _RANGE_MIN_ROWS rows. A forked process formats each range after the
-    first into an unnamed file in fh's directory while this one formats
-    the first into fh; the parts are then appended in order, so the bytes
-    are those of one range. A range whose process fails is formatted again
-    here (see _forked.run_in_ranges).
+    The rows are cut at block boundaries into one range per usable CPU, as
+    far as each range gets at least _RANGE_MIN_ROWS rows, and formatted as
+    _forked.run_in_ranges does: the first range here, each later one by a
+    forked process into an unnamed file in path's directory, which is then
+    appended in order. So the bytes are those of one range.
     """
     width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
-    fmt = "%d" + ",%.17g" * width + end
+    fmt = b"%d" + b",%.17g" * width + b"\r\n"
 
     def format_rows(lo, hi, out):
         for a in range(lo, hi, _BLOCK_ROWS):
@@ -301,15 +276,11 @@ def write_csv_rows(fh, steps, columns, end: str = "\r\n") -> None:
             block = np.column_stack([steps[a:b]] + [c[a:b] for c in columns])
             out.write((fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
-    rows = len(steps)
-    if isinstance(getattr(fh, "name", None), str):
-        cuts = _forked.range_cuts(rows, _RANGE_MIN_ROWS, _BLOCK_ROWS)
-    else:
-        cuts = [0, rows]
-    _forked.run_in_ranges(
-        format_rows, cuts, fh, lambda part: _append_part(fh, part),
-        lambda: tempfile.TemporaryFile("w+", encoding=fh.encoding, newline="",
-                                       dir=os.path.dirname(os.path.abspath(fh.name))))
+    with open(path, "wb") as fh:
+        fh.write(head)
+        _forked.run_in_ranges(format_rows,
+                              _forked.range_cuts(len(steps), _RANGE_MIN_ROWS, _BLOCK_ROWS),
+                              fh, os.path.dirname(os.path.abspath(path)))
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
@@ -319,16 +290,14 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     the step arriving at the row's state; the first row's cell is empty.
     """
     n_states, n = traj.states.shape
-    steps = range(n_states)
     header = ["step", "t"] + [f"x_{j + 1}" for j in range(n)] + ["speed"]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        if traj.kind == "discrete":
-            # the first state has no arriving step, so its speed cell is empty
-            write_csv_rows(fh, steps[:1], [traj.times[:1], traj.states[:1]], end=",\r\n")
-            write_csv_rows(fh, steps[1:], [traj.times[1:], traj.states[1:], traj.speeds])
-        else:
-            write_csv_rows(fh, steps, [traj.times, traj.states, traj.speeds])
+    head = (",".join(header) + "\r\n").encode()
+    steps, times, states = range(n_states), traj.times, traj.states
+    if traj.kind == "discrete":
+        # the first state has no arriving step, so its speed cell is empty
+        head += (b"0" + b",%.17g" * (n + 1) + b",\r\n") % (times[0], *states[0].tolist())
+        steps, times, states = steps[1:], times[1:], states[1:]
+    write_csv_rows(path, head, steps, [times, states, traj.speeds])
 
 
 def trajectory_from_csv(path) -> Trajectory:

@@ -486,6 +486,16 @@ def test_simulate_gen_rejects_bad_input_writing_no_file(tmp_path, argv):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+def test_simulate_with_a_system_file_and_gen_exits_2_naming_both(tmp_path, capsys):
+    # the file does not exist: the conflict is found before anything is read
+    code = main(["simulate", "/nonexistent/system.json", "--gen", "stratified",
+                 "--steps", "10", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == ("error: give a system file (/nonexistent/system.json) "
+                                       "or --gen stratified, not both\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_probe_synthetic_outputs(tmp_path):
     out = tmp_path / "run"
     code = main(["probe", "--synthetic", "--classes", "3", "--dim", "8",
@@ -583,6 +593,26 @@ def test_probe_bad_synthetic_data_exits_2_before_training(tmp_path, capsys, flag
         code = main(["probe", "--synthetic", *flags, "--out-dir", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("source, flags", [
+    ("--mnist", ["--max", "5"]),
+    ("--mnist", ["--holdout-digit", "3"]),
+    ("--synthetic", ["--classes", "3"]),
+    ("--synthetic", ["--dim", "12"]),
+    ("--synthetic", ["--per-class", "1000"]),
+    ("--synthetic", ["--separation", "6.0"]),
+])
+def test_probe_flags_of_the_other_source_exit_2_naming_the_flag(tmp_path, capsys, source,
+                                                               flags):
+    # each flag is given at its default value, so only its presence is rejected;
+    # the MNIST files do not exist, so the check comes before any is read
+    other = (["--synthetic"] if source == "--mnist"
+             else ["--mnist", str(tmp_path / "img"), str(tmp_path / "lbl")])
+    code = main(["probe", *other, *flags, "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {flags[0]} applies only to probe {source}\n"
     assert list(tmp_path.iterdir()) == []
 
 

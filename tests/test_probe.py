@@ -1,4 +1,5 @@
 import csv
+import json
 import struct
 import tracemalloc
 
@@ -486,6 +487,24 @@ def test_net_checkpoint_round_trip(tmp_path):
         assert np.array_equal(a, b)
     x = np.full(5, 0.3)
     assert np.array_equal(loaded.forward(x), net.forward(x))
+
+
+@pytest.mark.parametrize("keep", [0, 1, 3])
+def test_net_rejects_a_bias_count_other_than_the_weight_count(keep):
+    net = TinyNet.init([4, 5, 3], seed=21)
+    biases = (net.biases + [np.zeros(3)])[:keep]
+    with pytest.raises(ValueError, match=f"{keep} bias vectors for 2 weight matrices"):
+        TinyNet(net.layer_dims, net.weights, biases)
+
+
+def test_load_net_rejects_a_model_with_a_missing_bias(tmp_path):
+    path = tmp_path / "model.json"
+    save_net(TinyNet.init([4, 5, 3], seed=21), path)
+    d = json.loads(path.read_text())
+    del d["biases"][-1]
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="1 bias vectors for 2 weight matrices"):
+        load_net(path)
 
 
 def test_train_config_validation():
