@@ -55,6 +55,7 @@ from .probe import (
 )
 from .simulate import (
     DivergenceError,
+    TrajectoryCsv,
     _rk4_steps,
     integrate_rk4,
     iterate_map,
@@ -277,20 +278,24 @@ def cmd_simulate(args):
         raise ValueError(f"snapshot step {snapshots[-1]} outside trajectory "
                          f"(last step {last_step})")
 
-    if discrete:
-        traj = iterate_map(sys_obj, x0, args.steps)
-    else:
-        traj = integrate_rk4(sys_obj, x0, args.t_end, args.dt)
-    report = slow_fast_report(traj, theta=args.theta, eps_conv=args.eps_conv)
+    # trajectory.csv's rows are formatted on the other usable CPUs as they
+    # pass the divergence check; leaving the block reaps those processes, so
+    # a run that diverges leaves neither a process nor a part behind
+    with TrajectoryCsv(out_dir) as stepped:
+        if discrete:
+            traj = iterate_map(sys_obj, x0, args.steps, on_block=stepped.on_block)
+        else:
+            traj = integrate_rk4(sys_obj, x0, args.t_end, args.dt, on_block=stepped.on_block)
+        report = slow_fast_report(traj, theta=args.theta, eps_conv=args.eps_conv)
 
-    # saved only now, so a run rejected above leaves no artifact behind
-    if args.gen is not None:
-        system_path = out_dir / "system.json"
-        save_system(sys_obj, system_path)
-        outputs.append(system_path)
-    traj_path = out_dir / "trajectory.csv"
-    trajectory_to_csv(traj, traj_path)
-    outputs.append(traj_path)
+        # saved only now, so a run rejected above leaves no artifact behind
+        if args.gen is not None:
+            system_path = out_dir / "system.json"
+            save_system(sys_obj, system_path)
+            outputs.append(system_path)
+        traj_path = out_dir / "trajectory.csv"
+        trajectory_to_csv(traj, traj_path, stepped)
+        outputs.append(traj_path)
 
     report_path = out_dir / "slowfast.json"
     write_json(report_path, slow_fast_to_dict(report))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import os
@@ -25,6 +26,7 @@ __all__ = [
     "system_to_dict",
     "system_from_dict",
     "write_json",
+    "open_replacing",
     "save_system",
     "load_system",
 ]
@@ -239,11 +241,23 @@ def write_json(path, obj, indent: int | None = 2, default=None) -> None:
     objects and a converter, so each one's JSON form is built only when the
     encoder reaches it, instead of the whole list's at once.
     """
+    with open_replacing(path, "w") as fh:
+        json.dump(obj, fh, indent=indent, allow_nan=False, default=default)
+
+
+@contextlib.contextmanager
+def open_replacing(path, mode: str):
+    """Open a temporary file beside path for writing, to take path's place.
+
+    When the block ends, the file is renamed over path (atomically, on one
+    filesystem); when the block raises, it is removed and path is left as
+    it was.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w") as fh:
-            json.dump(obj, fh, indent=indent, allow_nan=False, default=default)
+        with open(tmp, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

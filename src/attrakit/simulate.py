@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _forked
-from .dynsys import Activation, DynamicalSystem, SystemForm, _check_state, bound_field
+from .dynsys import (
+    Activation,
+    DynamicalSystem,
+    SystemForm,
+    _check_state,
+    bound_field,
+    open_replacing,
+)
 
 __all__ = [
     "Trajectory",
@@ -28,6 +35,8 @@ __all__ = [
     "integrate_rk4",
     "slow_fast_report",
     "sine_map_system",
+    "CsvRows",
+    "TrajectoryCsv",
     "trajectory_to_csv",
     "trajectory_from_csv",
     "write_csv_rows",
@@ -42,11 +51,26 @@ DIVERGENCE_NORM = 1e12
 # share of memory
 _BLOCK_ROWS = 256
 
-# write_csv_rows gives each usable CPU a range of at least this many rows.
-# Forking and reaping a 40 MiB process costs 2.3-2.6 ms and a 256-row block
-# of the n=3 map takes 0.8-1 ms to format, so a forked range of 8 blocks
-# takes about 7 ms of formatting off the parent for under 3 ms of process
+# CsvRows gives each forked process a range of at least this many rows
+# when a row has up to 6 cells, as the n=3 map's step,t,x_1,x_2,x_3,speed
+# do. Forking and reaping a 40 MiB process costs 2.3-2.6 ms and a 256-row
+# block of the n=3 map takes 0.6-1 ms to format, so a forked range of 8
+# blocks takes about 7 ms of formatting off the parent for under 3 ms of
+# process. Formatting costs about the same per cell or more for wider
+# rows (a row of the n=40 RK4 run has 43 cells and takes about 10 times as
+# long), so wider rows get ranges of as many cells, down to one block.
 _RANGE_MIN_ROWS = 8 * _BLOCK_ROWS
+_RANGE_MIN_CELLS = 6 * _RANGE_MIN_ROWS
+
+# While a trajectory is stepped, its rows are cut into chunks of an eighth
+# of its rows, at least a range's least rows, in whole blocks. A chunk is
+# forked once its rows have passed the divergence check, as long as a
+# range's least rows follow it; the rows held back are cut across every
+# usable CPU when stepping ends. So a run forks at most _CHUNKS - 1
+# processes while it steps (7 for each of the benchmark's map and RK4
+# runs, about 17 ms of process each). 3 and 4 chunks measured the same as
+# 8 within noise; 2 and 16 were slower.
+_CHUNKS = 8
 
 
 class DivergenceError(RuntimeError):
@@ -124,12 +148,15 @@ def _check_block(states: np.ndarray, lo: int, hi: int) -> None:
         raise DivergenceError(t + 1, states[t].copy())
 
 
-def iterate_map(sys: DynamicalSystem, x0, steps: int) -> Trajectory:
+def iterate_map(sys: DynamicalSystem, x0, steps: int, on_block=None) -> Trajectory:
     """Iterate a discrete map, recording every state and step speed.
 
     Divergence is checked once per block of _BLOCK_ROWS steps, so a
     diverging map stops within one block; the DivergenceError still names
-    the first bad step and the state before it.
+    the first bad step and the state before it. on_block(traj, done), when
+    given, is called after each block has passed that check, with the
+    Trajectory being filled (the one returned) and the steps done so far:
+    traj.states[:done + 1] and traj.speeds[:done] are final.
     """
     if sys.form is not SystemForm.discrete_map:
         raise ValueError("iterate_map needs a discrete_map system")
@@ -139,6 +166,7 @@ def iterate_map(sys: DynamicalSystem, x0, steps: int) -> Trajectory:
     states = np.empty((steps + 1, sys.n))
     speeds = np.empty(steps)
     states[0] = _check_state(sys, x0)
+    traj = _filled_by(states, np.arange(steps + 1, dtype=float), speeds, "discrete")
     x = states[0]
     # steps past a divergence overflow or turn NaN until the block's check
     with np.errstate(over="ignore", invalid="ignore"):
@@ -148,8 +176,16 @@ def iterate_map(sys: DynamicalSystem, x0, steps: int) -> Trajectory:
                 states[t + 1] = x = field(x)
             _check_block(states, lo, hi)
             speeds[lo:hi] = _row_norms(states[lo + 1:hi + 1] - states[lo:hi])
-    return Trajectory(states=states, times=np.arange(steps + 1, dtype=float),
-                      speeds=speeds, kind="discrete")
+            if on_block is not None:
+                on_block(traj, hi)
+    return traj
+
+
+def _filled_by(states, times, speeds, kind) -> Trajectory:
+    # the Trajectory is made before the stepping loop fills states and
+    # speeds, over read-only views of them, so on_block can be handed the
+    # object that is returned in the end
+    return Trajectory(states=states.view(), times=times, speeds=speeds.view(), kind=kind)
 
 
 def _rk4_steps(t_end: float, h: float) -> int:
@@ -157,13 +193,15 @@ def _rk4_steps(t_end: float, h: float) -> int:
     return max(1, int(round(t_end / h)))
 
 
-def integrate_rk4(sys: DynamicalSystem, x0, t_end: float, h: float) -> Trajectory:
+def integrate_rk4(sys: DynamicalSystem, x0, t_end: float, h: float,
+                  on_block=None) -> Trajectory:
     """Classical fixed-step RK4 from 0 to t_end.
 
     The step is snapped to t_end / round(t_end / h) so the final time is hit
     exactly; halving h quarters the local error twice over (order 4). Each
     state's speed is the norm of its first stage, the field at that state.
-    Divergence is checked per block of steps, as in iterate_map.
+    Divergence is checked per block of steps, and on_block is called after
+    each checked block, as in iterate_map.
     """
     if sys.form is SystemForm.discrete_map:
         raise ValueError("integrate_rk4 needs a continuous-form system")
@@ -176,6 +214,7 @@ def integrate_rk4(sys: DynamicalSystem, x0, t_end: float, h: float) -> Trajector
     states = np.empty((n_steps + 1, sys.n))
     speeds = np.empty(n_steps + 1)
     states[0] = _check_state(sys, x0)
+    traj = _filled_by(states, dt * np.arange(n_steps + 1), speeds, "continuous")
     x = states[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n_steps, _BLOCK_ROWS):
@@ -188,9 +227,10 @@ def integrate_rk4(sys: DynamicalSystem, x0, t_end: float, h: float) -> Trajector
                 k4 = field(x + dt * k3)
                 states[t + 1] = x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             _check_block(states, lo, hi)
+            if on_block is not None:
+                on_block(traj, hi)
     speeds[n_steps] = _norm(field(x))
-    return Trajectory(states=states, times=dt * np.arange(n_steps + 1),
-                      speeds=speeds, kind="continuous")
+    return traj
 
 
 def slow_fast_report(traj: Trajectory, theta: float = 0.01,
@@ -252,52 +292,157 @@ def sine_map_system(n: int = 3, top: float = 1.0, ratio: float = 100.0,
                            activation=Activation.sine, form=SystemForm.discrete_map)
 
 
-def write_csv_rows(path, head: bytes, steps, columns) -> None:
-    """Write head, then `step,v_1,...,v_k` CRLF rows, to a new file at path.
+class CsvRows:
+    """A head, then `step,v_1,...,v_k` CRLF rows, formatted on every usable CPU.
 
     steps (a sequence of integers, a range too) gives each row's first
     cell; the values come from the aligned 1-D or 2-D arrays in columns
     and are printed with `%.17g` (a bit-exact round trip). Rows are
-    formatted as bytes and written in blocks of _BLOCK_ROWS, so no table
-    of the whole output is built.
+    formatted as bytes in blocks of _BLOCK_ROWS, so no table of the whole
+    output is built.
 
-    The rows are cut at block boundaries into one range per usable CPU, as
-    far as each range gets at least _RANGE_MIN_ROWS rows, and formatted as
-    _forked.run_in_ranges does: the first range here, each later one by a
-    forked process into an unnamed file in path's directory, which is then
-    appended in order. So the bytes are those of one range.
+    The columns may still be being filled: ready(count) says that the
+    first count rows are final, and each whole chunk of them that a
+    range's least rows follow (see _CHUNKS) is then formatted by a forked
+    process into an unnamed part file in part_dir while this process goes
+    on. write(path) cuts the rows not yet handed over at block boundaries
+    into one range per usable CPU, as far as each range gets its least
+    rows (see _RANGE_MIN_ROWS); it formats the first here and each later
+    one in a forked process, and joins every range in row order after the
+    head (see _forked.Ranges). So the bytes are those of one process,
+    however the rows were cut. With one usable CPU nothing is forked.
+    Leaving the with block reaps every forked process and drops every part.
     """
-    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
-    fmt = b"%d" + b",%.17g" * width + b"\r\n"
 
-    def format_rows(lo, hi, out):
-        for a in range(lo, hi, _BLOCK_ROWS):
-            b = min(a + _BLOCK_ROWS, hi)
-            block = np.column_stack([steps[a:b]] + [c[a:b] for c in columns])
-            out.write((fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+    def __init__(self, head: bytes, steps, columns, part_dir=None):
+        width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+        fmt = b"%d" + b",%.17g" * width + b"\r\n"
 
-    with open(path, "wb") as fh:
-        fh.write(head)
-        _forked.run_in_ranges(format_rows,
-                              _forked.range_cuts(len(steps), _RANGE_MIN_ROWS, _BLOCK_ROWS),
-                              fh, os.path.dirname(os.path.abspath(path)))
+        # a closure, not a method: the ranges hold it, and a cycle through
+        # self would keep the columns alive until the garbage collector ran
+        def format_rows(lo, hi, out):
+            for a in range(lo, hi, _BLOCK_ROWS):
+                b = min(a + _BLOCK_ROWS, hi)
+                block = np.column_stack([steps[a:b]] + [c[a:b] for c in columns])
+                out.write((fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+
+        self._head = head
+        self._count = len(steps)
+        cells = 1 + width
+        self._min_rows = min(_RANGE_MIN_ROWS, max(_BLOCK_ROWS, -(-_RANGE_MIN_CELLS // cells)))
+        chunk = max(self._min_rows, -(-self._count // _CHUNKS))
+        self._chunk = -(-chunk // _BLOCK_ROWS) * _BLOCK_ROWS
+        self._overlap = _forked.usable_cpus() > 1
+        self._handed_over = 0  # rows before this one are in forked ranges
+        self._ranges = _forked.Ranges(format_rows, part_dir)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self) -> None:
+        """Reap every forked process and drop every part."""
+        self._ranges.close()
+
+    def ready(self, count: int) -> None:
+        """The first count rows are final: fork the whole chunks among them.
+
+        A chunk is forked only when a range's least rows follow it (see _CHUNKS).
+        """
+        if not self._overlap:
+            return
+        end = min(count, self._count - self._min_rows) // self._chunk * self._chunk
+        if end > self._handed_over:
+            self._ranges.fork_range(self._handed_over, end)
+            self._handed_over = end
+
+    def write(self, path) -> None:
+        """Write the head and every row to a new file at path, through a temporary file.
+
+        The file takes path's name only once it is complete, as write_json's
+        do; an error leaves no file behind.
+        """
+        rest = _forked.range_cuts(self._count - self._handed_over, self._min_rows, _BLOCK_ROWS)
+        self._ranges.split([self._handed_over + cut for cut in rest])
+        with open_replacing(path, "wb") as fh:
+            fh.write(self._head)
+            self._ranges.join(fh)
 
 
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write `step,t,x_1,...,x_n,speed` CRLF rows with 17 significant digits.
+def write_csv_rows(path, head: bytes, steps, columns) -> None:
+    """Write head, then `step,v_1,...,v_k` CRLF rows, to a new file at path (see CsvRows).
 
-    For discrete trajectories the speed column holds the displacement of
-    the step arriving at the row's state; the first row's cell is empty.
+    All rows are ready at once, so they are cut into one range per usable
+    CPU; the parts are made in path's directory.
     """
-    n_states, n = traj.states.shape
+    with CsvRows(head, steps, columns, _dir_of(path)) as rows:
+        rows.write(path)
+
+
+def _dir_of(path) -> str:
+    return os.path.dirname(os.path.abspath(path))
+
+
+def _trajectory_rows(traj: Trajectory, part_dir) -> CsvRows:
+    n = traj.states.shape[1]
     header = ["step", "t"] + [f"x_{j + 1}" for j in range(n)] + ["speed"]
     head = (",".join(header) + "\r\n").encode()
-    steps, times, states = range(n_states), traj.times, traj.states
+    steps, times, states = range(traj.states.shape[0]), traj.times, traj.states
     if traj.kind == "discrete":
         # the first state has no arriving step, so its speed cell is empty
         head += (b"0" + b",%.17g" * (n + 1) + b",\r\n") % (times[0], *states[0].tolist())
         steps, times, states = steps[1:], times[1:], states[1:]
-    write_csv_rows(path, head, steps, [times, states, traj.speeds])
+    return CsvRows(head, steps, [times, states, traj.speeds], part_dir)
+
+
+class TrajectoryCsv:
+    """The rows of a trajectory's CSV, formatted while the trajectory is stepped.
+
+    Give on_block as the on_block of iterate_map or integrate_rk4: the rows
+    that have passed the divergence check are handed to CsvRows.ready, so
+    they are formatted on the other usable CPUs while stepping goes on.
+    Then give this object to trajectory_to_csv with the finished
+    trajectory. Leaving the with block reaps every forked process and drops
+    every part, so a run that diverges leaves nothing behind.
+    """
+
+    def __init__(self, part_dir=None):
+        self._part_dir = part_dir
+        self._rows = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._rows is not None:
+            self._rows.close()
+
+    def rows(self, traj: Trajectory) -> CsvRows:
+        if self._rows is None:
+            self._rows = _trajectory_rows(traj, self._part_dir)
+        return self._rows
+
+    def on_block(self, traj: Trajectory, done: int) -> None:
+        # CSV row t holds speed t, and state t + 1 of a discrete trajectory
+        # or state t of a continuous one: either way the first done are final
+        self.rows(traj).ready(done)
+
+
+def trajectory_to_csv(traj: Trajectory, path, stepped: TrajectoryCsv | None = None) -> None:
+    """Write `step,t,x_1,...,x_n,speed` CRLF rows with 17 significant digits.
+
+    For discrete trajectories the speed column holds the displacement of
+    the step arriving at the row's state; the first row's cell is empty.
+    stepped is the TrajectoryCsv that traj's rows were handed to while it
+    was stepped, if any; its with block is the caller's.
+    """
+    if stepped is not None:
+        stepped.rows(traj).write(path)
+        return
+    with _trajectory_rows(traj, _dir_of(path)) as rows:
+        rows.write(path)
 
 
 def trajectory_from_csv(path) -> Trajectory:

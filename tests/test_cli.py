@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attrakit import _forked, simulate
 from attrakit.cli import _sha256, build_parser, main, subseed
 from attrakit.dynsys import Activation, SystemForm, make_system, save_system
 from attrakit.probe import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
@@ -775,6 +776,114 @@ def test_simulate_split_csv_writer_matches_serial_run(tmp_path):
                                  "trajectory.csv"]
     assert sorted(p.name for p in (tmp_path / "split").iterdir()) == sorted(
         ["manifest.json", *hashes[0]])
+
+
+# the least rows of a range of rows of up to 6 cells, and so the rows of a
+# chunk of such a run of up to 8 * R rows
+R = simulate._RANGE_MIN_ROWS
+
+
+def simulate_argv(tmp_path, form, rows):
+    """simulate argv whose trajectory.csv has `rows` rows past the map's step 0.
+
+    form is "map" (n = 3, with snapshots), "rk4" (n = 1) or "rk4-wide"
+    (n = 12, whose 15-cell rows take ranges of 820 rows, not 2048).
+    """
+    if form == "map":
+        return ["simulate", "--gen", "stratified", "--steps", str(rows),
+                "--snapshots", f"1,{rows // 2},{rows}", "--seed", "3"]
+    system_path = tmp_path / "tanh.json"
+    if form == "rk4":
+        write_tanh_system(system_path)
+    else:
+        rng = np.random.default_rng(12)
+        save_system(make_system(W=rng.standard_normal((12, 12)) / 4.0, A=np.eye(12),
+                                b=0.1 * rng.standard_normal(12), activation=Activation.tanh,
+                                form=SystemForm.pre_activation), system_path)
+    dt = 2.0 ** -10  # so that t_end / dt is exactly the step count
+    return ["simulate", str(system_path), "--t-end", repr((rows - 1) * dt), "--dt", repr(dt),
+            "--seed", "3"]
+
+
+def run_on_cpus(monkeypatch, capsys, argv, out, cpus):
+    """stdout and output hashes of a run that sees `cpus` usable CPUs; no stray file is left."""
+    monkeypatch.setattr(_forked, "usable_cpus", lambda: cpus)
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    outputs = [Path(o["path"]).name
+               for o in json.loads((out / "manifest.json").read_text())["outputs"]]
+    assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", *outputs])
+    return capsys.readouterr(), out_hashes(out)
+
+
+@pytest.mark.parametrize("rows", [R - 48, 2 * R - 1, 2 * R, 2 * R + 1, 3 * R + 5, 5000])
+@pytest.mark.parametrize("form", ["map", "rk4", "rk4-wide"])
+def test_simulate_formatting_while_stepping_writes_the_bytes_of_one_cpu(
+        tmp_path, monkeypatch, capsys, forks, form, rows):
+    # a chunk is forked once a range's least rows follow it, so the narrow
+    # runs fork first at 2 * R rows, the wide one (820-row ranges, 1024-row
+    # chunks) at 1844
+    argv = simulate_argv(tmp_path, form, rows)
+    one = run_on_cpus(monkeypatch, capsys, argv, tmp_path / "one", 1)
+    assert forks == []
+    for cpus in (2, 3):
+        assert run_on_cpus(monkeypatch, capsys, argv, tmp_path / f"cpus{cpus}", cpus) == one
+
+
+def test_simulate_formats_a_failed_chunk_again_here_at_its_place(tmp_path, monkeypatch,
+                                                                  capsys, forks):
+    argv = simulate_argv(tmp_path, "map", 3 * R + 5)
+    one = run_on_cpus(monkeypatch, capsys, argv, tmp_path / "one", 1)
+    parent = os.getpid()
+    column_stack = np.column_stack
+    formatted_here = []
+
+    def stack(arrays):
+        # the first cell of a block of rows is its step; step 1 opens the first chunk
+        first = int(arrays[0][0])
+        if os.getpid() == parent:
+            formatted_here.append(first)
+        elif first == 1:
+            raise RuntimeError("the first chunk's formatter fails")
+        return column_stack(arrays)
+    monkeypatch.setattr(np, "column_stack", stack)
+    assert run_on_cpus(monkeypatch, capsys, argv, tmp_path / "two", 2) == one
+    # two chunks were forked while stepping; the first was formatted again
+    # here before the second was copied, then the rest was formatted here
+    assert len(forks) == 2
+    assert formatted_here[:9] == [*range(1, R + 1, 256), 2 * R + 1]
+
+
+@pytest.mark.parametrize("form", ["map", "rk4"])
+def test_simulate_forks_a_formatter_before_the_last_block_is_stepped(tmp_path, monkeypatch,
+                                                                     capsys, forks, form):
+    monkeypatch.setattr(_forked, "usable_cpus", lambda: 2)
+    forks_at_check = []
+    check_block = simulate._check_block
+
+    def recording_check_block(states, lo, hi):
+        forks_at_check.append(len(forks))
+        check_block(states, lo, hi)
+    monkeypatch.setattr(simulate, "_check_block", recording_check_block)
+    argv = simulate_argv(tmp_path, form, 5000) + ["--out-dir", str(tmp_path / "run")]
+    assert main(argv) == 0
+    assert forks_at_check[-1] >= 1
+
+
+def test_simulate_diverging_after_forks_leaves_no_file_and_no_process(tmp_path, monkeypatch,
+                                                                      capsys, forks):
+    monkeypatch.setattr(_forked, "usable_cpus", lambda: 2)
+    system_path = tmp_path / "grow.json"
+    # x(t+1) = 1.003 x(t) passes 1e12 near step 9,225, after 3 chunks of 2,560 rows
+    save_system(make_system(W=[[0.0]], A=[[-1.003]], b=[0.0], activation=Activation.identity,
+                            form=SystemForm.discrete_map), system_path)
+    out = tmp_path / "run"
+    code = main(["simulate", str(system_path), "--steps", "20000", "--x0", "1",
+                 "--out-dir", str(out)])
+    assert code == 3
+    assert "at step 92" in capsys.readouterr().err
+    assert len(forks) == 3
+    # no trajectory.csv, system.json, manifest, part or temporary file
+    assert list(out.iterdir()) == []
 
 
 def test_readme_recipes_parse():

@@ -113,3 +113,57 @@ def test_os_fork_has_one_call_site_under_src():
                 if name in ("fork", "forkpty"):
                     sites.append(path.relative_to(package.parent).as_posix())
     assert sites == ["attrakit/_forked.py"]
+
+
+def test_ranges_fork_now_and_join_later_in_the_order_added(tmp_path, forks):
+    parent = os.getpid()
+    ran_here = []
+
+    def work(lo, hi, out):
+        if os.getpid() == parent:
+            ran_here.append(lo)
+        write_range(lo, hi, out)
+    sink = io.BytesIO()
+    with _forked.Ranges(work, tmp_path) as ranges:
+        ranges.fork_range(0, 3)
+        ranges.fork_range(3, 5)
+        assert len(forks) == 2 and ran_here == []
+        ranges.here(5, 9)
+        ranges.split([9, 10, 12, 15])
+        assert len(forks) == 4 and ran_here == []
+        ranges.join(sink)
+    assert sink.getvalue() == serial(15)[len(b"head;"):]
+    assert ran_here == [5, 9]
+    assert os.listdir(tmp_path) == []
+
+
+def test_ranges_join_runs_a_failed_range_again_at_its_place(tmp_path, forks):
+    parent = os.getpid()
+    ran_here = []
+
+    def work(lo, hi, out):
+        if os.getpid() == parent:
+            ran_here.append(lo)
+        elif lo == 4:
+            raise RuntimeError("this range fails in a forked process")
+        write_range(lo, hi, out)
+    sink = io.BytesIO()
+    with _forked.Ranges(work, tmp_path) as ranges:
+        ranges.fork_range(0, 4)
+        ranges.fork_range(4, 6)
+        ranges.here(6, 8)
+        ranges.fork_range(8, 11)
+        ranges.join(sink)
+    assert sink.getvalue() == serial(11)[len(b"head;"):]
+    assert len(forks) == 3
+    assert ran_here == [4, 6]
+
+
+def test_ranges_left_without_a_join_reap_every_child_and_drop_every_part(tmp_path, forks):
+    with pytest.raises(RuntimeError, match="before the join"):
+        with _forked.Ranges(write_range, tmp_path) as ranges:
+            ranges.fork_range(0, 5)
+            ranges.fork_range(5, 9)
+            raise RuntimeError("an error before the join")
+    assert len(forks) == 2
+    assert os.listdir(tmp_path) == []

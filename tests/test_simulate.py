@@ -91,6 +91,40 @@ def test_rk4_overflow_to_nan_diverges():
     assert np.array_equal(err.value.last_state, [10.0])
 
 
+def stepped_with_hand_overs(sys1, steps):
+    """Step sys1 from 1; return the trajectory and what on_block was handed, copied as handed."""
+    handed = []
+
+    def on_block(traj, done):
+        handed.append((traj, done, traj.states[:done + 1].copy(), traj.speeds[:done].copy()))
+    if sys1.form is SystemForm.discrete_map:
+        return iterate_map(sys1, [1.0], steps, on_block=on_block), handed
+    return integrate_rk4(sys1, [1.0], steps * 0.01, 0.01, on_block=on_block), handed
+
+
+@pytest.mark.parametrize("sys1", [scalar_map(0.99), decay_field()], ids=["map", "rk4"])
+def test_on_block_gets_the_returned_trajectory_after_each_checked_block(sys1):
+    traj, handed = stepped_with_hand_overs(sys1, 2 * _BLOCK_ROWS + 88)
+    assert [done for _, done, _, _ in handed] == [_BLOCK_ROWS, 2 * _BLOCK_ROWS,
+                                                  2 * _BLOCK_ROWS + 88]
+    for handed_traj, done, states, speeds in handed:
+        assert handed_traj is traj
+        # what was handed over is final: stepping on does not change it
+        assert np.array_equal(states, traj.states[:done + 1])
+        assert np.array_equal(speeds, traj.speeds[:done])
+    assert not traj.states.flags.writeable and not traj.speeds.flags.writeable
+
+
+def test_on_block_is_never_handed_a_state_past_the_divergence():
+    # 1.05 ** t passes 1e12 at step 567, in the third block
+    handed = []
+    with pytest.raises(DivergenceError) as err:
+        iterate_map(scalar_map(1.05), [1.0], 4 * _BLOCK_ROWS,
+                    on_block=lambda traj, done: handed.append(done))
+    assert err.value.step == 567
+    assert handed == [_BLOCK_ROWS, 2 * _BLOCK_ROWS]
+
+
 def test_iterate_map_requires_discrete_form():
     with pytest.raises(ValueError):
         iterate_map(decay_field(), [1.0], steps=3)
@@ -679,6 +713,27 @@ def test_split_csv_writer_bytes_match_serial_reference(tmp_path, monkeypatch, fo
     assert os.listdir(out) == ["out.csv"]
 
 
+@pytest.mark.parametrize("rows, ranges, forked", [(285, 2, 0), (600, 2, 1), (600, 3, 1),
+                                                  (900, 3, 2)])
+def test_split_csv_writer_gives_wide_rows_ranges_of_as_many_cells(tmp_path, monkeypatch, forks,
+                                                                    rows, ranges, forked):
+    # an n = 40 RK4 row has 43 cells, so a range needs 12288 / 43, 286 rows,
+    # where rows of up to 6 cells need 2048
+    rng = np.random.default_rng(rows)
+    traj = Trajectory(states=rng.standard_normal((rows, 40)),
+                      times=np.arange(rows, dtype=float) * 1e-3,
+                      speeds=rng.exponential(size=rows), kind="continuous")
+    monkeypatch.setattr(_forked, "usable_cpus", lambda: 1)
+    trajectory_to_csv(traj, tmp_path / "serial.csv")
+    monkeypatch.setattr(_forked, "usable_cpus", lambda: ranges)
+    out = tmp_path / "split"
+    out.mkdir()
+    trajectory_to_csv(traj, out / "out.csv")
+    assert (out / "out.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert len(forks) == forked
+    assert os.listdir(out) == ["out.csv"]
+
+
 def failing_in(monkeypatch, which):
     """Make np.column_stack raise in the parent or in the forked processes only."""
     parent = os.getpid()
@@ -714,4 +769,5 @@ def test_split_csv_writer_reaps_children_when_its_own_range_fails(tmp_path, monk
     with pytest.raises(RuntimeError, match="in the parent"):
         write(tmp_path / "out.csv")
     assert len(forks) == 2
-    assert os.listdir(tmp_path) == ["out.csv"]
+    # the file is assembled under a temporary name, which the error removes
+    assert os.listdir(tmp_path) == []
