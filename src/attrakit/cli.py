@@ -339,6 +339,9 @@ def cmd_probe(args):
     else:
         if args.classes < 2:
             raise ValueError(f"--classes must be >= 2, got {args.classes}")
+        if args.dim < args.classes + 2:
+            raise ValueError(f"--dim must be at least --classes + 2 = {args.classes + 2}, "
+                             f"got {args.dim}")
         # two extra clusters serve as unseen-class and natural-noise probes;
         # only the first `classes` labels get logit slots
         blobs = synth_blobs(args.classes + 2, args.dim, args.per_class,
@@ -432,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--c-max", type=_positive, default=10.0)
-    p.add_argument("--samples", type=int, default=25)
+    p.add_argument("--samples", type=_count, default=25)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("analyze", parents=[common, rank_tol],
@@ -440,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("system")
     p.add_argument("--box", type=float, nargs=2, default=(-3.0, 3.0),
                    metavar=("LO", "HI"))
-    p.add_argument("--starts", type=int, default=32)
+    p.add_argument("--starts", type=_count, default=32)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", parents=[common],

@@ -246,17 +246,18 @@ def write_json(path, obj, indent: int | None = 2, default=None) -> None:
 
 
 @contextlib.contextmanager
-def open_replacing(path, mode: str):
+def open_replacing(path, mode: str, newline=None):
     """Open a temporary file beside path for writing, to take path's place.
 
     When the block ends, the file is renamed over path (atomically, on one
     filesystem); when the block raises, it is removed and path is left as
-    it was.
+    it was. mode and newline are open's: newline="" writes a CSV's CRLF
+    rows as they are on every platform.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynsys import _DERIV, _VALUE, Activation, write_json
+from .dynsys import _DERIV, _VALUE, Activation, open_replacing, write_json
 from .spectral import _row_cv
 
 __all__ = [
@@ -60,9 +60,10 @@ RANDOM_NOISE = "random_noise"
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
-# rows per block of the accuracy pass and records per block of the cv trace
-# writer: enough to amortise each numpy or write call, few enough that a
-# block's temporaries stay a small share of memory
+# rows per block of the accuracy pass and the stratification spectra, and
+# records per block of the cv trace writer: enough to amortise each numpy
+# or write call, few enough that a block's temporaries stay a small share
+# of memory
 _BLOCK_ROWS = 256
 
 
@@ -455,7 +456,7 @@ class CvTrace:
                 cells[text] = _csv_cell(text)
             return cells[text]
 
-        with open(path, "w", newline="") as fh:
+        with open_replacing(path, "w", newline="") as fh:
             fh.write("checkpoint,sample_id,category,cv,sv_1,sv_2,sv_3,sv_4\r\n")
             for lo in range(0, len(self.records), _BLOCK_ROWS):
                 fmt, values = [], []
@@ -591,13 +592,18 @@ def stratification_study(net: TinyNet, groups: dict[str, np.ndarray],
         if samples.size == 0:
             warnings.warn(f"group {name!r} is empty, skipped", stacklevel=2)
             continue
-        svs, cvs = _logit_spectra(net, np.atleast_2d(samples)[:samples_per_group])
-        out.append(GroupCvStats(group=name, cvs=cvs, singular_values=list(svs)))
+        X = np.atleast_2d(samples)[:samples_per_group]
+        # a block of rows at a time, so the Jacobian stacks stay small;
+        # each row's spectrum is the same bits in any block
+        spectra = [_logit_spectra(net, X[lo:lo + _BLOCK_ROWS])
+                   for lo in range(0, X.shape[0], _BLOCK_ROWS)]
+        out.append(GroupCvStats(group=name, cvs=np.concatenate([c for _, c in spectra]),
+                                singular_values=[s for svs, _ in spectra for s in svs]))
     return out
 
 
 def write_group_stats_csv(stats: list[GroupCvStats], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_replacing(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["group", "n_samples", "mean_cv", "median_cv"])
         for s in stats:
@@ -610,7 +616,7 @@ def write_group_samples_csv(stats: list[GroupCvStats], path) -> None:
     if not stats:
         raise ValueError("no group statistics to write")
     k = max(len(s.singular_values[0]) for s in stats)
-    with open(path, "w", newline="") as fh:
+    with open_replacing(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["group", "sample_index", "cv"]
                         + [f"sv_{j + 1}" for j in range(k)])

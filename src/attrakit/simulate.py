@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,27 +49,6 @@ DIVERGENCE_NORM = 1e12
 # block's temporaries (and its Python floats in the writer) stay a small
 # share of memory
 _BLOCK_ROWS = 256
-
-# CsvRows gives each forked process a range of at least this many rows
-# when a row has up to 6 cells, as the n=3 map's step,t,x_1,x_2,x_3,speed
-# do. Forking and reaping a 40 MiB process costs 2.3-2.6 ms and a 256-row
-# block of the n=3 map takes 0.6-1 ms to format, so a forked range of 8
-# blocks takes about 7 ms of formatting off the parent for under 3 ms of
-# process. Formatting costs about the same per cell or more for wider
-# rows (a row of the n=40 RK4 run has 43 cells and takes about 10 times as
-# long), so wider rows get ranges of as many cells, down to one block.
-_RANGE_MIN_ROWS = 8 * _BLOCK_ROWS
-_RANGE_MIN_CELLS = 6 * _RANGE_MIN_ROWS
-
-# While a trajectory is stepped, its rows are cut into chunks of an eighth
-# of its rows, at least a range's least rows, in whole blocks. A chunk is
-# forked once its rows have passed the divergence check, as long as a
-# range's least rows follow it; the rows held back are cut across every
-# usable CPU when stepping ends. So a run forks at most _CHUNKS - 1
-# processes while it steps (7 for each of the benchmark's map and RK4
-# runs, about 17 ms of process each). 3 and 4 chunks measured the same as
-# 8 within noise; 2 and 16 were slower.
-_CHUNKS = 8
 
 
 class DivergenceError(RuntimeError):
@@ -293,99 +271,79 @@ def sine_map_system(n: int = 3, top: float = 1.0, ratio: float = 100.0,
 
 
 class CsvRows:
-    """A head, then `step,v_1,...,v_k` CRLF rows, formatted on every usable CPU.
+    """A head, then `step,v_1,...,v_k` CRLF rows, formatted as bytes.
 
-    steps (a sequence of integers, a range too) gives each row's first
-    cell; the values come from the aligned 1-D or 2-D arrays in columns
-    and are printed with `%.17g` (a bit-exact round trip). Rows are
-    formatted as bytes in blocks of _BLOCK_ROWS, so no table of the whole
-    output is built.
+    steps (integers, a range too) gives each row's first cell; the values
+    come from the aligned 1-D or 2-D arrays in columns, printed with
+    `%.17g` (a bit-exact round trip) a block of _BLOCK_ROWS rows at a time.
 
-    The columns may still be being filled: ready(count) says that the
-    first count rows are final, and each whole chunk of them that a
-    range's least rows follow (see _CHUNKS) is then formatted by a forked
-    process into an unnamed part file in part_dir while this process goes
-    on. write(path) cuts the rows not yet handed over at block boundaries
-    into one range per usable CPU, as far as each range gets its least
-    rows (see _RANGE_MIN_ROWS); it formats the first here and each later
-    one in a forked process, and joins every range in row order after the
-    head (see _forked.Ranges). So the bytes are those of one process,
-    however the rows were cut. With one usable CPU nothing is forked.
-    Leaving the with block reaps every forked process and drops every part.
+    ready(count) says the first count rows are final, while the columns
+    may still be being filled. With more than one usable CPU, its first
+    call forks one formatter (a fed _forked.Child, its part in part_dir),
+    and each call sends it the newly final rows' float64 cells through a
+    pipe. write(path) copies the formatter's part after the head and then
+    formats the rows not sent, or every row if the formatter failed, so
+    the bytes are those of one process. close() reaps the formatter.
     """
 
     def __init__(self, head: bytes, steps, columns, part_dir=None):
         width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
-        fmt = b"%d" + b",%.17g" * width + b"\r\n"
-
-        # a closure, not a method: the ranges hold it, and a cycle through
-        # self would keep the columns alive until the garbage collector ran
-        def format_rows(lo, hi, out):
-            for a in range(lo, hi, _BLOCK_ROWS):
-                b = min(a + _BLOCK_ROWS, hi)
-                block = np.column_stack([steps[a:b]] + [c[a:b] for c in columns])
-                out.write((fmt * block.shape[0]) % tuple(block.ravel().tolist()))
-
-        self._head = head
-        self._count = len(steps)
-        cells = 1 + width
-        self._min_rows = min(_RANGE_MIN_ROWS, max(_BLOCK_ROWS, -(-_RANGE_MIN_CELLS // cells)))
-        chunk = max(self._min_rows, -(-self._count // _CHUNKS))
-        self._chunk = -(-chunk // _BLOCK_ROWS) * _BLOCK_ROWS
-        self._overlap = _forked.usable_cpus() > 1
-        self._handed_over = 0  # rows before this one are in forked ranges
-        self._ranges = _forked.Ranges(format_rows, part_dir)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+        self._fmt = b"%d" + b",%.17g" * width + b"\r\n"
+        self._cells = 1 + width
+        self._head, self._steps, self._columns = head, steps, columns
+        self._part_dir = part_dir
+        self._feeding = _forked.usable_cpus() > 1
+        self._formatter = None
+        self._sent = 0  # rows before this one went to the formatter
 
     def close(self) -> None:
-        """Reap every forked process and drop every part."""
-        self._ranges.close()
+        if self._formatter is not None:
+            self._formatter.close()
+
+    def _blocks(self, lo: int, hi: int):
+        # float64 throughout: `%d` prints the float step cell as its integer
+        for a in range(lo, hi, _BLOCK_ROWS):
+            b = min(a + _BLOCK_ROWS, hi)
+            yield np.column_stack([self._steps[a:b]] + [c[a:b] for c in self._columns])
+
+    def _format(self, block: np.ndarray, out) -> None:
+        out.write((self._fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+
+    def _format_sent(self, src, out) -> None:
+        # the formatter's work: the sent rows a block at a time, to the pipe's end
+        while data := src.read(_BLOCK_ROWS * self._cells * 8):
+            self._format(np.frombuffer(data).reshape(-1, self._cells), out)
 
     def ready(self, count: int) -> None:
-        """The first count rows are final: fork the whole chunks among them.
-
-        A chunk is forked only when a range's least rows follow it (see _CHUNKS).
-        """
-        if not self._overlap:
+        """The first count rows are final: send those not yet sent to the formatter."""
+        if not self._feeding:
             return
-        end = min(count, self._count - self._min_rows) // self._chunk * self._chunk
-        if end > self._handed_over:
-            self._ranges.fork_range(self._handed_over, end)
-            self._handed_over = end
+        if self._formatter is None:
+            self._formatter = _forked.Child(self._format_sent, self._part_dir, fed=True)
+        try:
+            for block in self._blocks(self._sent, count):
+                self._formatter.feed.write(block)
+                self._formatter.feed.flush()
+        except BrokenPipeError:
+            # the formatter failed, so its join fails and write formats every row
+            self._feeding = False
+        self._sent = count
 
     def write(self, path) -> None:
-        """Write the head and every row to a new file at path, through a temporary file.
-
-        The file takes path's name only once it is complete, as write_json's
-        do; an error leaves no file behind.
-        """
-        rest = _forked.range_cuts(self._count - self._handed_over, self._min_rows, _BLOCK_ROWS)
-        self._ranges.split([self._handed_over + cut for cut in rest])
+        """Write the head and every row to a new file at path; an error leaves none."""
         with open_replacing(path, "wb") as fh:
             fh.write(self._head)
-            self._ranges.join(fh)
+            joined = self._formatter is not None and self._formatter.join(fh)
+            for block in self._blocks(self._sent if joined else 0, len(self._steps)):
+                self._format(block, fh)
 
 
 def write_csv_rows(path, head: bytes, steps, columns) -> None:
-    """Write head, then `step,v_1,...,v_k` CRLF rows, to a new file at path (see CsvRows).
-
-    All rows are ready at once, so they are cut into one range per usable
-    CPU; the parts are made in path's directory.
-    """
-    with CsvRows(head, steps, columns, _dir_of(path)) as rows:
-        rows.write(path)
+    """Write head, then `step,v_1,...,v_k` CRLF rows, to a new file at path (see CsvRows)."""
+    CsvRows(head, steps, columns).write(path)
 
 
-def _dir_of(path) -> str:
-    return os.path.dirname(os.path.abspath(path))
-
-
-def _trajectory_rows(traj: Trajectory, part_dir) -> CsvRows:
+def _trajectory_rows(traj: Trajectory, part_dir=None) -> CsvRows:
     n = traj.states.shape[1]
     header = ["step", "t"] + [f"x_{j + 1}" for j in range(n)] + ["speed"]
     head = (",".join(header) + "\r\n").encode()
@@ -398,14 +356,12 @@ def _trajectory_rows(traj: Trajectory, part_dir) -> CsvRows:
 
 
 class TrajectoryCsv:
-    """The rows of a trajectory's CSV, formatted while the trajectory is stepped.
+    """The rows of a trajectory's CSV, fed to a formatter while the trajectory is stepped.
 
-    Give on_block as the on_block of iterate_map or integrate_rk4: the rows
-    that have passed the divergence check are handed to CsvRows.ready, so
-    they are formatted on the other usable CPUs while stepping goes on.
-    Then give this object to trajectory_to_csv with the finished
-    trajectory. Leaving the with block reaps every forked process and drops
-    every part, so a run that diverges leaves nothing behind.
+    Give on_block as the on_block of iterate_map or integrate_rk4, so the
+    rows that pass the divergence check go to CsvRows.ready; then give this
+    object to trajectory_to_csv with the finished trajectory. Leaving the
+    with block reaps the formatter, so a run that diverges leaves nothing.
     """
 
     def __init__(self, part_dir=None):
@@ -435,14 +391,10 @@ def trajectory_to_csv(traj: Trajectory, path, stepped: TrajectoryCsv | None = No
 
     For discrete trajectories the speed column holds the displacement of
     the step arriving at the row's state; the first row's cell is empty.
-    stepped is the TrajectoryCsv that traj's rows were handed to while it
-    was stepped, if any; its with block is the caller's.
+    stepped is the TrajectoryCsv that traj's rows were fed to while it was
+    stepped, if any (its with block is the caller's); else no process forks.
     """
-    if stepped is not None:
-        stepped.rows(traj).write(path)
-        return
-    with _trajectory_rows(traj, _dir_of(path)) as rows:
-        rows.write(path)
+    (_trajectory_rows(traj) if stepped is None else stepped.rows(traj)).write(path)
 
 
 def trajectory_from_csv(path) -> Trajectory:

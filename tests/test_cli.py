@@ -587,6 +587,8 @@ def test_probe_counts_below_one_exit_2_naming_the_flag(tmp_path, capsys, flag, v
     (["--separation", "inf"], "separation must be a finite number >= 0, got inf"),
     (["--classes", "1"], "--classes must be >= 2, got 1"),
     (["--classes", "0"], "--classes must be >= 2, got 0"),
+    (["--classes", "3", "--dim", "4"], "--dim must be at least --classes + 2 = 5, got 4"),
+    (["--classes", "11"], "--dim must be at least --classes + 2 = 13, got 12"),
 ])
 def test_probe_bad_synthetic_data_exits_2_before_training(tmp_path, capsys, flags, message):
     with warnings.catch_warnings():
@@ -615,6 +617,21 @@ def test_probe_flags_of_the_other_source_exit_2_naming_the_flag(tmp_path, capsys
     assert code == 2
     assert capsys.readouterr().err == f"error: {flags[0]} applies only to probe {source}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["construct", "--p", "4", "--z", "2", "--m", "1"], "--samples"),
+    (["analyze", "system.json"], "--starts"),
+])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_construct_and_analyze_counts_below_one_exit_2_naming_the_flag(tmp_path, capsys, argv,
+                                                                       flag, value):
+    # checked while parsing, so analyze never reads its (missing) system file
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value, "--out-dir", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
@@ -730,8 +747,8 @@ def test_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
-def run_simulate_in_ranges(out_dir: Path, ranges: int):
-    """simulate in a subprocess whose stdout is a pipe, writing CSVs in `ranges` ranges."""
+def run_simulate_seeing_cpus(out_dir: Path, cpus: int):
+    """simulate in a subprocess whose stdout is a pipe and that sees `cpus` usable CPUs."""
     src = Path(__file__).resolve().parents[1] / "src"
     argv = ["simulate", "--gen", "stratified", "--steps", "5000", "--snapshots", "1,5000",
             "--seed", "3", "--out-dir", str(out_dir)]
@@ -740,7 +757,7 @@ def run_simulate_in_ranges(out_dir: Path, ranges: int):
     code = ("import os, sys\n"
             "assert not (sys.stdout.write_through or sys.stdout.line_buffering)\n"
             "import attrakit._forked as _forked\n"
-            f"_forked.usable_cpus = lambda: {ranges}\n"
+            f"_forked.usable_cpus = lambda: {cpus}\n"
             "forks = []\n"
             "fork = os.fork\n"
             "def counting_fork():\n"
@@ -759,8 +776,8 @@ def run_simulate_in_ranges(out_dir: Path, ranges: int):
 
 
 def test_simulate_split_csv_writer_matches_serial_run(tmp_path):
-    split = run_simulate_in_ranges(tmp_path / "split", 2)
-    serial = run_simulate_in_ranges(tmp_path / "serial", 1)
+    split = run_simulate_seeing_cpus(tmp_path / "split", 2)
+    serial = run_simulate_seeing_cpus(tmp_path / "serial", 1)
     for done in (split, serial):
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
@@ -778,16 +795,15 @@ def test_simulate_split_csv_writer_matches_serial_run(tmp_path):
         ["manifest.json", *hashes[0]])
 
 
-# the least rows of a range of rows of up to 6 cells, and so the rows of a
-# chunk of such a run of up to 8 * R rows
-R = simulate._RANGE_MIN_ROWS
+# the stepped cases' row counts sit around multiples of R rows
+R = 2048
 
 
 def simulate_argv(tmp_path, form, rows):
     """simulate argv whose trajectory.csv has `rows` rows past the map's step 0.
 
     form is "map" (n = 3, with snapshots), "rk4" (n = 1) or "rk4-wide"
-    (n = 12, whose 15-cell rows take ranges of 820 rows, not 2048).
+    (n = 12, rows of 15 cells).
     """
     if form == "map":
         return ["simulate", "--gen", "stratified", "--steps", str(rows),
@@ -819,38 +835,40 @@ def run_on_cpus(monkeypatch, capsys, argv, out, cpus):
 @pytest.mark.parametrize("form", ["map", "rk4", "rk4-wide"])
 def test_simulate_formatting_while_stepping_writes_the_bytes_of_one_cpu(
         tmp_path, monkeypatch, capsys, forks, form, rows):
-    # a chunk is forked once a range's least rows follow it, so the narrow
-    # runs fork first at 2 * R rows, the wide one (820-row ranges, 1024-row
-    # chunks) at 1844
+    # one formatter per stepped CSV, on 2 CPUs as on 3; none on 1 CPU, and
+    # none for snapshots.csv, whose rows are all ready at once
     argv = simulate_argv(tmp_path, form, rows)
     one = run_on_cpus(monkeypatch, capsys, argv, tmp_path / "one", 1)
     assert forks == []
-    for cpus in (2, 3):
+    for forked, cpus in enumerate((2, 3), start=1):
         assert run_on_cpus(monkeypatch, capsys, argv, tmp_path / f"cpus{cpus}", cpus) == one
+        assert len(forks) == forked
 
 
-def test_simulate_formats_a_failed_chunk_again_here_at_its_place(tmp_path, monkeypatch,
-                                                                  capsys, forks):
+@pytest.mark.parametrize("failing_block", [None, 0, 5], ids=["works", "fails-first", "fails-mid"])
+def test_simulate_formats_here_only_rows_the_formatter_did_not_write(
+        tmp_path, monkeypatch, capsys, forks, failing_block):
+    # a formatter that fails, at its first block or mid-run after 5, leaves
+    # every row to this process; either way the file holds the bytes of one
+    # CPU and nothing hangs
     argv = simulate_argv(tmp_path, "map", 3 * R + 5)
     one = run_on_cpus(monkeypatch, capsys, argv, tmp_path / "one", 1)
     parent = os.getpid()
-    column_stack = np.column_stack
-    formatted_here = []
+    format_block = simulate.CsvRows._format
+    formatted = []
 
-    def stack(arrays):
-        # the first cell of a block of rows is its step; step 1 opens the first chunk
-        first = int(arrays[0][0])
-        if os.getpid() == parent:
-            formatted_here.append(first)
-        elif first == 1:
-            raise RuntimeError("the first chunk's formatter fails")
-        return column_stack(arrays)
-    monkeypatch.setattr(np, "column_stack", stack)
+    def format_or_fail(rows, block, out):
+        formatted.append(int(block[0, 0]))
+        if os.getpid() != parent and failing_block is not None and len(formatted) > failing_block:
+            raise RuntimeError("the formatter fails")
+        format_block(rows, block, out)
+    monkeypatch.setattr(simulate.CsvRows, "_format", format_or_fail)
     assert run_on_cpus(monkeypatch, capsys, argv, tmp_path / "two", 2) == one
-    # two chunks were forked while stepping; the first was formatted again
-    # here before the second was copied, then the rest was formatted here
-    assert len(forks) == 2
-    assert formatted_here[:9] == [*range(1, R + 1, 256), 2 * R + 1]
+    assert len(forks) == 1
+    # here: snapshots.csv's one block, after every block of trajectory.csv
+    # from step 1 on when the formatter failed
+    trajectory = [] if failing_block is None else [*range(1, 3 * R + 5, 256)]
+    assert formatted == [*trajectory, 1]
 
 
 @pytest.mark.parametrize("form", ["map", "rk4"])
@@ -866,14 +884,15 @@ def test_simulate_forks_a_formatter_before_the_last_block_is_stepped(tmp_path, m
     monkeypatch.setattr(simulate, "_check_block", recording_check_block)
     argv = simulate_argv(tmp_path, form, 5000) + ["--out-dir", str(tmp_path / "run")]
     assert main(argv) == 0
-    assert forks_at_check[-1] >= 1
+    # forked once the first block has passed its check
+    assert forks_at_check == [0] + [1] * (len(forks_at_check) - 1)
 
 
 def test_simulate_diverging_after_forks_leaves_no_file_and_no_process(tmp_path, monkeypatch,
                                                                       capsys, forks):
     monkeypatch.setattr(_forked, "usable_cpus", lambda: 2)
     system_path = tmp_path / "grow.json"
-    # x(t+1) = 1.003 x(t) passes 1e12 near step 9,225, after 3 chunks of 2,560 rows
+    # x(t+1) = 1.003 x(t) passes 1e12 near step 9,225, long after the formatter forked
     save_system(make_system(W=[[0.0]], A=[[-1.003]], b=[0.0], activation=Activation.identity,
                             form=SystemForm.discrete_map), system_path)
     out = tmp_path / "run"
@@ -881,7 +900,7 @@ def test_simulate_diverging_after_forks_leaves_no_file_and_no_process(tmp_path, 
                  "--out-dir", str(out)])
     assert code == 3
     assert "at step 92" in capsys.readouterr().err
-    assert len(forks) == 3
+    assert len(forks) == 1
     # no trajectory.csv, system.json, manifest, part or temporary file
     assert list(out.iterdir()) == []
 

@@ -1,6 +1,7 @@
 import ast
 import io
 import os
+import signal
 from pathlib import Path
 
 import pytest
@@ -14,20 +15,18 @@ def test_usable_cpus_is_one_without_an_affinity_call(monkeypatch):
     assert _forked.usable_cpus() == 1
 
 
-@pytest.mark.parametrize("cpus, count, least, unit, cuts", [
-    (1, 100, 10, 1, [0, 100]),
-    (2, 19, 10, 1, [0, 19]),
-    (2, 20, 10, 1, [0, 10, 20]),
-    (3, 29, 10, 1, [0, 14, 29]),
-    (3, 30, 10, 1, [0, 10, 20, 30]),
-    (4, 0, 10, 1, [0, 0]),
-    (2, 1000, 256, 256, [0, 512, 1000]),
-    (3, 1001, 256, 256, [0, 256, 512, 1001]),
+@pytest.mark.parametrize("cpus, count, least, cuts", [
+    (1, 100, 10, [0, 100]),
+    (2, 19, 10, [0, 19]),
+    (2, 20, 10, [0, 10, 20]),
+    (3, 29, 10, [0, 14, 29]),
+    (3, 30, 10, [0, 10, 20, 30]),
+    (4, 0, 10, [0, 0]),
+    (3, 1001, 256, [0, 333, 667, 1001]),
 ])
-def test_range_cuts(monkeypatch, cpus, count, least, unit, cuts):
+def test_range_cuts(monkeypatch, cpus, count, least, cuts):
     monkeypatch.setattr(_forked, "usable_cpus", lambda: cpus)
-    assert _forked.range_cuts(count, least, unit) == cuts
-
+    assert _forked.range_cuts(count, least) == cuts
 
 
 def write_range(lo, hi, out):
@@ -115,55 +114,57 @@ def test_os_fork_has_one_call_site_under_src():
     assert sites == ["attrakit/_forked.py"]
 
 
-def test_ranges_fork_now_and_join_later_in_the_order_added(tmp_path, forks):
-    parent = os.getpid()
-    ran_here = []
+def read_all(src, out):
+    while data := src.read(3):
+        out.write(data.upper())
 
-    def work(lo, hi, out):
-        if os.getpid() == parent:
-            ran_here.append(lo)
-        write_range(lo, hi, out)
+
+def test_fed_child_formats_what_it_is_sent_until_the_join(tmp_path, forks):
     sink = io.BytesIO()
-    with _forked.Ranges(work, tmp_path) as ranges:
-        ranges.fork_range(0, 3)
-        ranges.fork_range(3, 5)
-        assert len(forks) == 2 and ran_here == []
-        ranges.here(5, 9)
-        ranges.split([9, 10, 12, 15])
-        assert len(forks) == 4 and ran_here == []
-        ranges.join(sink)
-    assert sink.getvalue() == serial(15)[len(b"head;"):]
-    assert ran_here == [5, 9]
-    assert os.listdir(tmp_path) == []
+    with _forked.Child(read_all, tmp_path, fed=True) as child:
+        for chunk in (b"abc", b"defg", b"h"):
+            child.feed.write(chunk)
+            child.feed.flush()
+        assert child.join(sink)
+        assert child.feed is None
+    assert sink.getvalue() == b"ABCDEFGH"
+    assert len(forks) == 1
+    assert os.listdir(tmp_path) == [] and _forked._feeds == set()
 
 
-def test_ranges_join_runs_a_failed_range_again_at_its_place(tmp_path, forks):
-    parent = os.getpid()
-    ran_here = []
-
-    def work(lo, hi, out):
-        if os.getpid() == parent:
-            ran_here.append(lo)
-        elif lo == 4:
-            raise RuntimeError("this range fails in a forked process")
-        write_range(lo, hi, out)
-    sink = io.BytesIO()
-    with _forked.Ranges(work, tmp_path) as ranges:
-        ranges.fork_range(0, 4)
-        ranges.fork_range(4, 6)
-        ranges.here(6, 8)
-        ranges.fork_range(8, 11)
-        ranges.join(sink)
-    assert sink.getvalue() == serial(11)[len(b"head;"):]
-    assert len(forks) == 3
-    assert ran_here == [4, 6]
-
-
-def test_ranges_left_without_a_join_reap_every_child_and_drop_every_part(tmp_path, forks):
-    with pytest.raises(RuntimeError, match="before the join"):
-        with _forked.Ranges(write_range, tmp_path) as ranges:
-            ranges.fork_range(0, 5)
-            ranges.fork_range(5, 9)
-            raise RuntimeError("an error before the join")
+def test_fed_child_reads_eof_while_a_later_child_is_alive(tmp_path, forks):
+    # the later child closes the first one's feed too, or the first would
+    # wait for it forever and the join would hang
+    def alarm(signum, frame):
+        raise TimeoutError("the join hung")
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(20)
+    try:
+        first_sink, later_sink = io.BytesIO(), io.BytesIO()
+        with _forked.Child(read_all, tmp_path, fed=True) as first:
+            first.feed.write(b"first")
+            with _forked.Child(read_all, tmp_path, fed=True) as later:
+                later.feed.write(b"later")
+                assert first.join(first_sink)
+                assert later.join(later_sink)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (first_sink.getvalue(), later_sink.getvalue()) == (b"FIRST", b"LATER")
     assert len(forks) == 2
+
+
+def test_child_that_fails_is_reaped_and_its_part_not_copied(tmp_path, forks):
+    def fail(src, out):
+        out.write(b"partial")
+        out.flush()
+        raise RuntimeError("the child fails at once")
+    sink = io.BytesIO()
+    with _forked.Child(fail, tmp_path, fed=True) as child:
+        with pytest.raises(BrokenPipeError):
+            for _ in range(100):  # more than a pipe holds
+                child.feed.write(b"x" * 4096)
+                child.feed.flush()
+        assert not child.join(sink)
+    assert sink.getvalue() == b""
     assert os.listdir(tmp_path) == []

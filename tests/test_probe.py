@@ -18,6 +18,7 @@ from attrakit.probe import (
     CvRecord,
     CvTrace,
     Dataset,
+    GroupCvStats,
     IdxFormatError,
     TinyNet,
     TrainConfig,
@@ -475,6 +476,32 @@ def test_group_csv_outputs(tmp_path):
     sample_lines = samples_path.read_text().splitlines()
     assert sample_lines[0] == "group,sample_index,cv,sv_1,sv_2,sv_3"
     assert len(sample_lines) == 10
+    # csv.writer's CRLF rows, with no newline translation on the way
+    for path, rows in ((stats_path, 3), (samples_path, 10)):
+        data = path.read_bytes()
+        assert data.count(b"\r\n") == data.count(b"\n") == rows
+        assert b"\r\r" not in data
+
+
+def write_failing_midway(which, path):
+    """Write one of probe's CSVs whose second row cannot be formatted."""
+    good = GroupCvStats(group="good", cvs=np.array([0.5]), singular_values=[np.array([2.0])])
+    bad = GroupCvStats(group="bad", cvs=np.array(["x"]), singular_values=[np.array([2.0])])
+    if which == "cvtrace":
+        records = [CvRecord(i, f"s{i}", TRAIN_CLASS, 0.5, np.array([2.0])) for i in range(600)]
+        records.append(CvRecord(600, "s600", TRAIN_CLASS, "x", np.array([2.0])))
+        CvTrace(records).to_csv(path)
+    elif which == "stratification":
+        write_group_stats_csv([good, bad], path)
+    else:
+        write_group_samples_csv([good, bad], path)
+
+
+@pytest.mark.parametrize("which", ["cvtrace", "stratification", "stratification_samples"])
+def test_probe_csv_that_fails_midway_leaves_no_file(tmp_path, which):
+    with pytest.raises((TypeError, ValueError)):
+        write_failing_midway(which, tmp_path / f"{which}.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_net_checkpoint_round_trip(tmp_path):

@@ -664,7 +664,8 @@ def test_csv_reader_rejects_any_dropped_or_extra_cell(tmp_path_factory, kind, n,
         trajectory_from_csv(path)
 
 
-R = simulate._RANGE_MIN_ROWS
+# the all-at-once cases' row counts sit around multiples of R rows
+R = 2048
 
 
 def csv_writer(layout, rows):
@@ -674,7 +675,7 @@ def csv_writer(layout, rows):
         states = rng.standard_normal((rows + 1, 3)) * 10.0 ** rng.integers(-300, 300,
                                                                            (rows + 1, 3))
         states.flat[:4] = [-0.0, 5e-324, 1e300, 0.1]
-    else:  # long enough for three ranges; short numbers keep it quick
+    else:  # a long file; short numbers keep it quick
         states = rng.standard_normal((rows + 1, 1))
     times = np.arange(rows + 1, dtype=float) * 1e-3
     if layout == "discrete":
@@ -692,82 +693,43 @@ def csv_writer(layout, rows):
     return lambda path: simulate.write_csv_rows(path, b"step,values\r\n", steps, columns)
 
 
-@pytest.mark.parametrize("rows, ranges", [
+@pytest.mark.parametrize("rows, cpus", [
     *[(rows, 2) for rows in (0, 1, 255, 256, 257, 2 * R - 1, 2 * R, 2 * R + 1, 100_001)],
     *[(rows, 3) for rows in (2 * R, 3 * R - 1, 3 * R + 1, 100_001)],
 ])
 @pytest.mark.parametrize("layout", ["discrete", "continuous", "snapshots"])
 def test_split_csv_writer_bytes_match_serial_reference(tmp_path, monkeypatch, forks, layout,
-                                                       rows, ranges):
-    # rows below 2 * R stay in one range; ranges never exceed rows // R
+                                                       rows, cpus):
+    # rows that are all ready at once are formatted here, however many CPUs
     write = csv_writer(layout, rows)
-    # the one-range path, which the csv-module reference test pins
+    # the one-CPU path, which the csv-module reference test pins
     monkeypatch.setattr(_forked, "usable_cpus", lambda: 1)
     write(tmp_path / "serial.csv")
-    monkeypatch.setattr(_forked, "usable_cpus", lambda: ranges)
+    monkeypatch.setattr(_forked, "usable_cpus", lambda: cpus)
     out = tmp_path / "split"
     out.mkdir()
     write(out / "out.csv")
     assert (out / "out.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
-    assert len(forks) == max(0, min(ranges, rows // R) - 1)
+    assert forks == []
     assert os.listdir(out) == ["out.csv"]
 
 
-@pytest.mark.parametrize("rows, ranges, forked", [(285, 2, 0), (600, 2, 1), (600, 3, 1),
-                                                  (900, 3, 2)])
-def test_split_csv_writer_gives_wide_rows_ranges_of_as_many_cells(tmp_path, monkeypatch, forks,
-                                                                    rows, ranges, forked):
-    # an n = 40 RK4 row has 43 cells, so a range needs 12288 / 43, 286 rows,
-    # where rows of up to 6 cells need 2048
-    rng = np.random.default_rng(rows)
-    traj = Trajectory(states=rng.standard_normal((rows, 40)),
-                      times=np.arange(rows, dtype=float) * 1e-3,
-                      speeds=rng.exponential(size=rows), kind="continuous")
-    monkeypatch.setattr(_forked, "usable_cpus", lambda: 1)
-    trajectory_to_csv(traj, tmp_path / "serial.csv")
-    monkeypatch.setattr(_forked, "usable_cpus", lambda: ranges)
-    out = tmp_path / "split"
-    out.mkdir()
-    trajectory_to_csv(traj, out / "out.csv")
-    assert (out / "out.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
-    assert len(forks) == forked
-    assert os.listdir(out) == ["out.csv"]
-
-
-def failing_in(monkeypatch, which):
-    """Make np.column_stack raise in the parent or in the forked processes only."""
-    parent = os.getpid()
-    column_stack = np.column_stack
-
-    def stack(arrays):
-        if (os.getpid() == parent) == (which == "parent"):
-            raise RuntimeError(f"formatting failed in the {which}")
-        return column_stack(arrays)
-    monkeypatch.setattr(np, "column_stack", stack)
-
-
-@pytest.mark.parametrize("ranges", [2, 3])
-def test_split_csv_writer_formats_a_failed_range_again_here(tmp_path, monkeypatch, forks,
-                                                           ranges):
-    write = csv_writer("continuous", 3 * R + 1)
-    monkeypatch.setattr(_forked, "usable_cpus", lambda: 1)
-    write(tmp_path / "serial.csv")
-    monkeypatch.setattr(_forked, "usable_cpus", lambda: ranges)
-    failing_in(monkeypatch, "child")
-    out = tmp_path / "split"
-    out.mkdir()
-    write(out / "out.csv")
-    assert (out / "out.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
-    assert len(forks) == ranges - 1
-    assert os.listdir(out) == ["out.csv"]
-
-
-def test_split_csv_writer_reaps_children_when_its_own_range_fails(tmp_path, monkeypatch, forks):
+def test_csv_writer_that_fails_midway_leaves_no_file_and_forks_nothing(tmp_path, monkeypatch,
+                                                                        forks):
+    # rows all ready at once are formatted here, on 3 CPUs too; the file is
+    # assembled under a temporary name, which the error removes
     monkeypatch.setattr(_forked, "usable_cpus", lambda: 3)
     write = csv_writer("snapshots", 3 * R + 1)
-    failing_in(monkeypatch, "parent")
-    with pytest.raises(RuntimeError, match="in the parent"):
+    column_stack = np.column_stack
+    blocks = []
+
+    def stack(arrays):
+        blocks.append(len(arrays[0]))
+        if len(blocks) == 5:
+            raise RuntimeError("formatting failed midway")
+        return column_stack(arrays)
+    monkeypatch.setattr(np, "column_stack", stack)
+    with pytest.raises(RuntimeError, match="midway"):
         write(tmp_path / "out.csv")
-    assert len(forks) == 2
-    # the file is assembled under a temporary name, which the error removes
+    assert forks == []
     assert os.listdir(tmp_path) == []
