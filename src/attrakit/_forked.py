@@ -5,6 +5,11 @@ process, out being its part, an unnamed temporary file; a fed Child runs
 work(src, out), src reading what this process writes to its feed, a pipe,
 until the join closes it and copies the part to a sink. run_in_ranges runs
 the first of its ranges here and each later one in a Child, as one process.
+
+A Child whose fork fails (os.fork raising OSError, say EAGAIN at a process
+limit) counts as one that exited non-zero: its pipe's ends are closed at
+once, it has no feed, and its join returns False without a wait, so the
+caller does the work here as it does for any failed child.
 """
 
 from __future__ import annotations
@@ -56,7 +61,16 @@ class Child:
         # off Linux, so nothing forks there. The child leaves through
         # os._exit, so it never flushes the buffers it inherited (a sink,
         # stdout) or returns into the caller.
-        self._pid = os.fork()
+        try:
+            self._pid = os.fork()
+        except OSError:
+            # a child that failed before it started (see the module docstring)
+            self._status = 1
+            if fed:
+                _feeds.discard(feed)
+                os.close(feed)
+                os.close(src)
+            return
         if self._pid == 0:
             status = 1
             try:

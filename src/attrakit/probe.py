@@ -9,7 +9,8 @@ strongly the learned map stratifies around each sample.
 
 from __future__ import annotations
 
-import csv
+import functools
+import itertools
 import json
 import math
 import struct
@@ -60,10 +61,9 @@ RANDOM_NOISE = "random_noise"
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
-# rows per block of the accuracy pass and the stratification spectra, and
-# records per block of the cv trace writer: enough to amortise each numpy
-# or write call, few enough that a block's temporaries stay a small share
-# of memory
+# rows per block of the accuracy pass, the stratification spectra and the
+# CSV writer: enough to amortise each numpy or write call, few enough that
+# a block's temporaries stay a small share of memory
 _BLOCK_ROWS = 256
 
 
@@ -288,8 +288,8 @@ def accuracy(net: TinyNet, data: Dataset) -> float:
 
 def load_idx(images_path, labels_path, max_items: int | None = None) -> Dataset:
     """Parse an IDX image/label file pair into a Dataset (pixels / 255)."""
-    images = _parse_idx_images(Path(images_path))
-    labels = _parse_idx_labels(Path(labels_path))
+    images = _parse_idx(Path(images_path), IDX_IMAGE_MAGIC, "image")
+    labels = _parse_idx(Path(labels_path), IDX_LABEL_MAGIC, "label")
     if images.shape[0] != labels.shape[0]:
         raise IdxFormatError(
             f"image count {images.shape[0]} != label count {labels.shape[0]}")
@@ -303,40 +303,23 @@ def load_idx(images_path, labels_path, max_items: int | None = None) -> Dataset:
                    n_classes=int(labels.max()) + 1)
 
 
-def _parse_idx_images(path: Path) -> np.ndarray:
+def _parse_idx(path: Path, magic: int, kind: str) -> np.ndarray:
+    """The uint8 array of an IDX file of `kind`s; magic's last byte is its number of dimensions."""
     data = path.read_bytes()
-    if len(data) < 4:
-        raise IdxFormatError(f"{path}: header truncated ({len(data)} bytes)")
-    magic = struct.unpack(">I", data[:4])[0]
-    if magic != IDX_IMAGE_MAGIC:
+    found = int.from_bytes(data[:4], "big")
+    if len(data) >= 4 and found != magic:
         raise IdxFormatError(
-            f"{path}: expected image magic 0x{IDX_IMAGE_MAGIC:08x}, found 0x{magic:08x}")
-    if len(data) < 16:
+            f"{path}: expected {kind} magic 0x{magic:08x}, found 0x{found:08x}")
+    ndim = magic & 0xFF
+    head = 4 + 4 * ndim
+    if len(data) < head:
         raise IdxFormatError(f"{path}: header truncated ({len(data)} bytes)")
-    count, rows, cols = struct.unpack(">III", data[4:16])
-    need = 16 + count * rows * cols
-    if len(data) < need:
-        raise IdxFormatError(
-            f"{path}: truncated, need {need} bytes for {count} images, have {len(data)}")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=count * rows * cols, offset=16)
-    return pixels.reshape(count, rows, cols)
-
-
-def _parse_idx_labels(path: Path) -> np.ndarray:
-    data = path.read_bytes()
-    if len(data) < 4:
-        raise IdxFormatError(f"{path}: header truncated ({len(data)} bytes)")
-    magic = struct.unpack(">I", data[:4])[0]
-    if magic != IDX_LABEL_MAGIC:
-        raise IdxFormatError(
-            f"{path}: expected label magic 0x{IDX_LABEL_MAGIC:08x}, found 0x{magic:08x}")
-    if len(data) < 8:
-        raise IdxFormatError(f"{path}: header truncated ({len(data)} bytes)")
-    count = struct.unpack(">I", data[4:8])[0]
-    if len(data) < 8 + count:
-        raise IdxFormatError(
-            f"{path}: truncated, need {8 + count} bytes for {count} labels, have {len(data)}")
-    return np.frombuffer(data, dtype=np.uint8, count=count, offset=8)
+    shape = struct.unpack(f">{ndim}I", data[4:head])
+    size = math.prod(shape)
+    if len(data) < head + size:
+        raise IdxFormatError(f"{path}: truncated, need {head + size} bytes for {shape[0]} "
+                             f"{kind}s, have {len(data)}")
+    return np.frombuffer(data, dtype=np.uint8, count=size, offset=head).reshape(shape)
 
 
 def synth_blobs(C: int, d: int, per_class: int, separation: float,
@@ -439,39 +422,45 @@ class CvTrace:
                 np.array([self.mean_cv(category, cp) for cp in cps]))
 
     def to_csv(self, path) -> None:
-        """Write `checkpoint,sample_id,category,cv,sv_1,...,sv_4` CRLF rows.
-
-        The bytes are what csv.writer writes: doubles as `%.17g`, text cells
-        quoted only when they hold a comma, quote or line break, and empty
-        cells for the singular values a record lacks. Each block of
-        _BLOCK_ROWS records is formatted with one `%`.
-        """
-        # one row format per number of singular values written, 0 to 4
-        row_fmt = ["%d,%s,%s,%.17g" + ",%.17g" * k + "," * (4 - k) + "\r\n"
-                   for k in range(5)]
-        cells: dict[str, str] = {}
-
-        def cell(text: str) -> str:
-            if text not in cells:
-                cells[text] = _csv_cell(text)
-            return cells[text]
-
-        with open_replacing(path, "w", newline="") as fh:
-            fh.write("checkpoint,sample_id,category,cv,sv_1,sv_2,sv_3,sv_4\r\n")
-            for lo in range(0, len(self.records), _BLOCK_ROWS):
-                fmt, values = [], []
-                for r in self.records[lo:lo + _BLOCK_ROWS]:
-                    svs = r.singular_values[:4].tolist()
-                    fmt.append(row_fmt[len(svs)])
-                    values += [r.checkpoint, cell(r.sample_id), cell(r.category), r.cv, *svs]
-                fh.write("".join(fmt) % tuple(values))
+        """Write `checkpoint,sample_id,category,cv,sv_1,...,sv_4` rows (see _write_csv)."""
+        _write_csv(path, ["checkpoint", "sample_id", "category", "cv",
+                          "sv_1", "sv_2", "sv_3", "sv_4"], "%d,%s,%s",
+                   (((r.checkpoint, r.sample_id, r.category),
+                     [r.cv, *r.singular_values[:4].tolist()]) for r in self.records))
 
 
-def _csv_cell(text: str) -> str:
-    """A text cell as csv.writer's minimal quoting writes it."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def _csv_cell(value):
+    """A lead cell as csv.writer's minimal quoting writes it: text quoted only
+    when it holds a comma, quote or line break, any other value as it is."""
+    if isinstance(value, str) and any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+def _write_csv(path, header: list[str], lead_fmt: str, rows) -> None:
+    """Write header and rows to a new file at path as csv.writer's CRLF rows.
+
+    Each row is a pair (leads, doubles). The lead cells are formatted by
+    lead_fmt (`%d` or `%s` each), after _csv_cell; the doubles follow as
+    `%.17g` (a bit-exact round trip), then empty cells up to the header's
+    width. Each block of _BLOCK_ROWS rows is formatted with one `%`.
+    """
+    width = len(header) - lead_fmt.count("%")
+    row_fmt: dict[int, str] = {}  # one per number of doubles
+    cell = functools.cache(_csv_cell)
+    rows = iter(rows)
+    with open_replacing(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+            fmt, values = [], []
+            for leads, doubles in block:
+                k = len(doubles)
+                if k not in row_fmt:
+                    row_fmt[k] = lead_fmt + ",%.17g" * k + "," * (width - k) + "\r\n"
+                fmt.append(row_fmt[k])
+                values += map(cell, leads)
+                values += doubles
+            fh.write("".join(fmt) % tuple(values))
 
 
 def default_checkpoint_schedule(n_batches_per_epoch: int, epochs: int,
@@ -577,7 +566,12 @@ class GroupCvStats:
 
     @property
     def median_cv(self) -> float:
-        return float(np.median(self.cvs))
+        # np.median's bits: the mean of the middle one or two sorted values,
+        # and a NaN (sorted last) as the result when there is one; without
+        # np.median's NaN check, which imports numpy.ma
+        s = np.sort(self.cvs)
+        middle = s[(s.shape[0] - 1) // 2:s.shape[0] // 2 + 1].mean()
+        return float(s[-1] if s.size and math.isnan(s[-1]) else middle)
 
 
 def stratification_study(net: TinyNet, groups: dict[str, np.ndarray],
@@ -603,12 +597,8 @@ def stratification_study(net: TinyNet, groups: dict[str, np.ndarray],
 
 
 def write_group_stats_csv(stats: list[GroupCvStats], path) -> None:
-    with open_replacing(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "n_samples", "mean_cv", "median_cv"])
-        for s in stats:
-            writer.writerow([s.group, s.cvs.shape[0],
-                             f"{s.mean_cv:.17g}", f"{s.median_cv:.17g}"])
+    _write_csv(path, ["group", "n_samples", "mean_cv", "median_cv"], "%s,%d",
+               (((s.group, s.cvs.shape[0]), (s.mean_cv, s.median_cv)) for s in stats))
 
 
 def write_group_samples_csv(stats: list[GroupCvStats], path) -> None:
@@ -616,15 +606,10 @@ def write_group_samples_csv(stats: list[GroupCvStats], path) -> None:
     if not stats:
         raise ValueError("no group statistics to write")
     k = max(len(s.singular_values[0]) for s in stats)
-    with open_replacing(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "sample_index", "cv"]
-                        + [f"sv_{j + 1}" for j in range(k)])
-        for s in stats:
-            for i, (cv, svs) in enumerate(zip(s.cvs, s.singular_values)):
-                row = [s.group, i, f"{cv:.17g}"] + [f"{v:.17g}" for v in svs]
-                row += [""] * (3 + k - len(row))
-                writer.writerow(row)
+    _write_csv(path, ["group", "sample_index", "cv"] + [f"sv_{j + 1}" for j in range(k)],
+               "%s,%d", (((s.group, i), [cv, *svs.tolist()])
+                         for s in stats
+                         for i, (cv, svs) in enumerate(zip(s.cvs.tolist(), s.singular_values))))
 
 
 def save_net(net: TinyNet, path) -> None:

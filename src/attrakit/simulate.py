@@ -282,8 +282,9 @@ class CsvRows:
     call forks one formatter (a fed _forked.Child, its part in part_dir),
     and each call sends it the newly final rows' float64 cells through a
     pipe. write(path) copies the formatter's part after the head and then
-    formats the rows not sent, or every row if the formatter failed, so
-    the bytes are those of one process. close() reaps the formatter.
+    formats the rows not sent, or every row if the formatter failed or
+    could not be forked, so the bytes are those of one process. close()
+    reaps the formatter.
     """
 
     def __init__(self, head: bytes, steps, columns, part_dir=None):
@@ -316,10 +317,12 @@ class CsvRows:
 
     def ready(self, count: int) -> None:
         """The first count rows are final: send those not yet sent to the formatter."""
+        if self._feeding and self._formatter is None:
+            self._formatter = _forked.Child(self._format_sent, self._part_dir, fed=True)
+            # a formatter whose fork failed has no feed, and its join fails
+            self._feeding = self._formatter.feed is not None
         if not self._feeding:
             return
-        if self._formatter is None:
-            self._formatter = _forked.Child(self._format_sent, self._part_dir, fed=True)
         try:
             for block in self._blocks(self._sent, count):
                 self._formatter.feed.write(block)

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -886,6 +887,35 @@ def test_simulate_forks_a_formatter_before_the_last_block_is_stepped(tmp_path, m
     assert main(argv) == 0
     # forked once the first block has passed its check
     assert forks_at_check == [0] + [1] * (len(forks_at_check) - 1)
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("recipe", ["analyze", "map", "rk4"])
+def test_a_fork_that_cannot_start_leaves_its_work_to_this_process(tmp_path, monkeypatch,
+                                                                  capsys, recipe):
+    # os.fork failing as at a process limit, on 2 usable CPUs: the starts
+    # of the range or the rows of the formatter are done here, so the run
+    # writes the bytes of one CPU and leaves no feed or descriptor behind
+    if recipe == "analyze":
+        assert main(["construct", "--p", "6", "--z", "4", "--m", "2", "--seed", "3",
+                     "--out-dir", str(tmp_path / "construct")]) == 0
+        capsys.readouterr()
+        argv = ["analyze", str(tmp_path / "construct" / "system.json"), "--starts", "64",
+                "--seed", "3"]
+    else:
+        argv = simulate_argv(tmp_path, recipe, 5000)
+    one = run_on_cpus(monkeypatch, capsys, argv, tmp_path / "one", 1)
+    tries = []
+
+    def cannot_fork():
+        tries.append(1)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    monkeypatch.setattr(os, "fork", cannot_fork)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    assert run_on_cpus(monkeypatch, capsys, argv, tmp_path / "two", 2) == one
+    assert len(tries) == 1
+    assert _forked._feeds == set()
+    assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 def test_simulate_diverging_after_forks_leaves_no_file_and_no_process(tmp_path, monkeypatch,

@@ -1,4 +1,5 @@
 import ast
+import errno
 import io
 import os
 import signal
@@ -168,3 +169,39 @@ def test_child_that_fails_is_reaped_and_its_part_not_copied(tmp_path, forks):
         assert not child.join(sink)
     assert sink.getvalue() == b""
     assert os.listdir(tmp_path) == []
+
+
+def cannot_fork():
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("sink", ["bytesio", "file"])
+def test_run_in_ranges_runs_a_range_that_cannot_fork_here_in_its_place(tmp_path, monkeypatch,
+                                                                        sink):
+    monkeypatch.setattr(os, "fork", cannot_fork)
+    ran_here = []
+
+    def work(lo, hi, out):
+        ran_here.append(lo)
+        write_range(lo, hi, out)
+    fds = open_fds()
+    assert run_into(tmp_path, sink, work, [0, 2, 4, 7, 9]) == serial(9)
+    assert ran_here == [0, 2, 4, 7]
+    assert open_fds() == fds
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+def test_fed_child_that_cannot_fork_has_no_feed_and_a_join_that_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "fork", cannot_fork)
+    fds = open_fds()
+    sink = io.BytesIO()
+    with _forked.Child(read_all, tmp_path, fed=True) as child:
+        assert child.feed is None and _forked._feeds == set()
+        assert not child.join(sink)
+    assert sink.getvalue() == b""
+    assert os.listdir(tmp_path) == [] and open_fds() == fds

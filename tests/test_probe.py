@@ -1,7 +1,12 @@
 import csv
 import json
+import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +134,30 @@ def test_load_idx_truncated_file(tmp_path):
     lbl_path.write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, 10) + b"\x00" * 10)
     with pytest.raises(IdxFormatError, match="truncated"):
         load_idx(img_path, lbl_path)
+
+
+@pytest.mark.parametrize("which, magic, head, count, kind",
+                         [("images", IDX_IMAGE_MAGIC, 16, 6, "image"),
+                          ("labels", IDX_LABEL_MAGIC, 8, 3, "label")])
+def test_load_idx_errors_name_the_file_and_its_sizes(tmp_path, which, magic, head, count,
+                                                     kind):
+    img_path, lbl_path = write_idx_pair(tmp_path, np.zeros((3, 1, 2), dtype=np.uint8),
+                                        np.zeros(3))
+    path = img_path if which == "images" else lbl_path
+    raw = path.read_bytes()
+    other = IDX_LABEL_MAGIC if magic == IDX_IMAGE_MAGIC else IDX_IMAGE_MAGIC
+    cases = [(raw[:3], "header truncated (3 bytes)"),
+             (struct.pack(">I", other) + raw[4:],
+              f"expected {kind} magic 0x{magic:08x}, found 0x{other:08x}"),
+             (raw[:head - 1], f"header truncated ({head - 1} bytes)"),
+             (raw[:-1], f"truncated, need {head + count} bytes for 3 {kind}s, "
+                        f"have {head + count - 1}")]
+    for data, message in cases:
+        path.write_bytes(data)
+        with pytest.raises(IdxFormatError) as err:
+            load_idx(img_path, lbl_path)
+        assert str(err.value) == f"{path}: {message}"
+        path.write_bytes(raw)
 
 
 # ---------------------------------------------------------------- blobs
@@ -705,3 +734,82 @@ def test_cv_trace_csv_bytes_match_csv_writer(tmp_path):
     trace.to_csv(tmp_path / "got.csv")
     reference_cv_trace_csv(trace, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def reference_group_csvs(stats, stats_path, samples_path):
+    with open(stats_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["group", "n_samples", "mean_cv", "median_cv"])
+        for s in stats:
+            writer.writerow([s.group, s.cvs.shape[0],
+                             f"{s.cvs.mean():.17g}", f"{np.median(s.cvs):.17g}"])
+    k = max(len(s.singular_values[0]) for s in stats)
+    with open(samples_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["group", "sample_index", "cv"] + [f"sv_{j + 1}" for j in range(k)])
+        for s in stats:
+            for i, (cv, svs) in enumerate(zip(s.cvs, s.singular_values)):
+                row = [s.group, i, f"{cv:.17g}"] + [f"{v:.17g}" for v in svs]
+                row += [""] * (3 + k - len(row))
+                writer.writerow(row)
+
+
+def test_group_csvs_bytes_match_csv_writer(tmp_path):
+    rng = np.random.default_rng(43)
+
+    def group(name, count, k):
+        return GroupCvStats(group=name, cvs=rng.uniform(0, 2, count),
+                            singular_values=list(rng.uniform(0, 9, (count, k))))
+    # quoted names, singular-value counts that differ between groups, and
+    # more rows than one block of the writer
+    stats = [group("train_class", 5, 3), group('odd, "quoted" group', 300, 5),
+             group("two\nlines", 4, 2), group("", 1, 4), group("cr\rgroup", 2, 3),
+             GroupCvStats(group="edge", cvs=np.array([0.0, -0.0, 1e-300, np.nan]),
+                          singular_values=[np.array([2.0, -0.0, 5e-324])] * 4)]
+    write_group_stats_csv(stats, tmp_path / "stats.csv")
+    write_group_samples_csv(stats, tmp_path / "samples.csv")
+    reference_group_csvs(stats, tmp_path / "want_stats.csv", tmp_path / "want_samples.csv")
+    for got, want in (("stats.csv", "want_stats.csv"), ("samples.csv", "want_samples.csv")):
+        assert (tmp_path / got).read_bytes() == (tmp_path / want).read_bytes()
+    assert len((tmp_path / "samples.csv").read_bytes().split(b"\r\n")) > 300
+
+
+def same_bits(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cvs", [[0.3], [0.5, 0.1, 0.9], [0.1, 0.2], [0.7, 0.1, 0.4, 0.2],
+                                 [0.2, 0.2, 0.2, 0.5], [1.0, 1.0, 0.0], [0.1, np.nan, 0.2],
+                                 [np.nan, 0.1], [1e308, 1e308], [-np.inf, np.inf],
+                                 [0.1 + 0.2, 0.3, 0.7, 1 / 3], [-0.0], []])
+def test_median_cv_has_the_bits_of_np_median(cvs):
+    stats = GroupCvStats(group="g", cvs=np.array(cvs), singular_values=[])
+    assert same_bits(stats.median_cv, float(np.median(cvs)))
+
+
+@given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_median_cv_has_the_bits_of_np_median_for_any_doubles(cvs):
+    stats = GroupCvStats(group="g", cvs=np.array(cvs, dtype=float), singular_values=[])
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert same_bits(stats.median_cv, float(np.median(np.array(cvs, dtype=float))))
+
+
+def test_probe_run_imports_no_numpy_ma(tmp_path):
+    # np.median's NaN check imports numpy.ma; the probe's median does not
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["probe", "--synthetic", "--classes", "3", "--dim", "8", "--epochs", "1",
+            "--per-class", "40", "--probes-per-category", "2", "--samples-per-group", "10",
+            "--out-dir", str(tmp_path)]
+    code = ("import sys\n"
+            "from attrakit.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "stratification.csv").exists()
