@@ -10,11 +10,22 @@ A Child whose fork fails (os.fork raising OSError, say EAGAIN at a process
 limit) counts as one that exited non-zero: its pipe's ends are closed at
 once, it has no feed, and its join returns False without a wait, so the
 caller does the work here as it does for any failed child.
+
+A feed's pipe is asked to hold 1 MiB (64 KiB by default), so a caller that
+sends its work in bursts, such as probe.train's 80 KB of weights a few ms
+apart, seldom waits for the child to read.
+
+one_blas_thread puts numpy's OpenBLAS on one thread for a with block,
+where that moves no bits and takes no thread from the caller's products
+(a child forked in the block inherits the one thread). A child that calls
+BLAS while this process does pays off only so, as OpenBLAS's threads
+otherwise take the core the child runs on; probe.train forks one only so.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import io
 import os
@@ -24,6 +35,21 @@ import tempfile
 # the write ends of every feed this process holds; each child closes them
 # all, as a pipe reads EOF only once no process holds its write end
 _feeds: set[int] = set()
+
+# the size asked for a feed's pipe: the most an unprivileged process may ask
+_FEED_PIPE_BYTES = 1 << 20
+
+# OpenBLAS computes a matrix product of at most this many multiply-adds
+# (m * n * k) on one thread whatever its thread count (SMP_THRESHOLD_MIN
+# times the default GEMM_MULTITHREAD_THRESHOLD), so with the same bits
+BLAS_ONE_THREAD_PRODUCT = 65536 * 4
+
+# a larger product OpenBLAS splits across threads by rows and columns, and
+# it sums the inner dimension k in blocks (GEMM_Q, 384 doubles on
+# SkylakeX) that fall differently on one thread and on more once k exceeds
+# a block: MNIST's k = 784 rounds differently, k up to 384 did not, on
+# SkylakeX. Up to this k, a product is taken to keep its bits
+BLAS_ONE_BLOCK_INNER = 128
 
 
 def usable_cpus() -> int:
@@ -36,6 +62,59 @@ def range_cuts(count: int, min_per_range: int) -> list[int]:
     """Cut points of 0..count: a range per usable CPU, as far as each gets min_per_range."""
     ranges = max(1, min(usable_cpus(), count // min_per_range))
     return [i * count // ranges for i in range(ranges + 1)]
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS loaded here; None if there is none.
+
+    Called once numpy is loaded. numpy loads its OpenBLAS privately, so
+    the library is found by its path in /proc/self/maps; its functions
+    carry the prefix and suffix of the build
+    (scipy_openblas_set_num_threads64_ in numpy's wheels).
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:  # not Linux
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a library since replaced on disk, say
+            continue
+        for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                return get, set_
+    return None
+
+
+def one_blas_thread(widest_product: int, longest_inner: int):
+    """A context manager that puts numpy's OpenBLAS on one thread for its block, or None.
+
+    widest_product is the most multiply-adds (m * n * k) of a product on
+    the caller's critical path, longest_inner the longest k of any product
+    in the block. None where the first is above BLAS_ONE_THREAD_PRODUCT (the
+    pin would take threads from those products), the second above
+    BLAS_ONE_BLOCK_INNER (it could move bits), or where numpy's BLAS is no
+    OpenBLAS found here. Leaving the block puts the caller's count back.
+    """
+    narrow = (widest_product <= BLAS_ONE_THREAD_PRODUCT
+              and longest_inner <= BLAS_ONE_BLOCK_INNER)
+    threads = _openblas_threads() if narrow else None
+    return None if threads is None else _on_one_thread(*threads)
+
+
+@contextlib.contextmanager
+def _on_one_thread(get, set_):
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 class Child:
@@ -55,12 +134,21 @@ class Child:
         if fed:
             src, feed = os.pipe()
             _feeds.add(feed)
-        # numpy's OpenBLAS shuts its thread pool down around a fork (a
-        # pthread_atfork handler), so a child may call BLAS and LAPACK; that
-        # is not known to hold for macOS Accelerate, but usable_cpus() is 1
-        # off Linux, so nothing forks there. The child leaves through
-        # os._exit, so it never flushes the buffers it inherited (a sink,
-        # stdout) or returns into the caller.
+            # a pipe left at its default size is as correct, only slower;
+            # there is no fcntl on Windows, and F_SETPIPE_SZ is Linux's. It
+            # is imported here, so a process that forks no fed child never
+            # maps it (peak RSS)
+            with contextlib.suppress(ImportError, AttributeError, OSError):
+                import fcntl
+                fcntl.fcntl(feed, fcntl.F_SETPIPE_SZ, _FEED_PIPE_BYTES)
+        # a child may call BLAS and LAPACK: numpy's OpenBLAS shuts its
+        # thread pool down around a fork (a pthread_atfork handler) and
+        # starts it again where it is next needed; a child forked within
+        # one_blas_thread keeps the one thread. That is not known to hold
+        # for macOS Accelerate, but usable_cpus() is 1 off Linux, so
+        # nothing forks there. The child leaves through os._exit, so it
+        # never flushes the buffers it inherited (a sink, stdout) or
+        # returns into the caller.
         try:
             self._pid = os.fork()
         except OSError:

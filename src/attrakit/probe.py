@@ -10,6 +10,7 @@ strongly the learned map stratifies around each sample.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import json
 import math
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _forked
 from .dynsys import _DERIV, _VALUE, Activation, open_replacing, write_json
 from .spectral import _row_cv
 
@@ -489,19 +491,11 @@ def _logit_spectra(net: TinyNet, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return s, _row_cv(s)
 
 
-def train(net: TinyNet, data: Dataset, cfg: TrainConfig,
-          probes: list[ProbeSample] = (), schedule: list[int] | None = None,
-          ) -> tuple[TinyNet, CvTrace]:
-    """Minibatch SGD with momentum and additive weight decay.
+def _sgd(net: TinyNet, data: Dataset, cfg: TrainConfig, marks: set[int], at_mark) -> TinyNet:
+    """The trained copy of net; at_mark(checkpoint, net, params) at each of marks.
 
-    The input net is not modified. Shuffling is derived from cfg.seed, so
-    two runs with identical arguments produce bit-identical weights. At
-    each scheduled checkpoint (counted in completed batches) the probe
-    samples' Jacobian spectra are recorded.
+    params is the flat buffer that net's weights and biases are views of.
     """
-    if data.dim != net.layer_dims[0]:
-        raise ValueError(
-            f"data dim {data.dim} does not match net input {net.layer_dims[0]}")
     # every weight and bias lives in one flat buffer (a copy, so the input
     # net is left untouched), and the net's arrays are views of it; the
     # update is then a few calls on the whole buffer
@@ -514,24 +508,9 @@ def train(net: TinyNet, data: Dataset, cfg: TrainConfig,
     step = np.empty_like(params)
     lr, mom, wd = cfg.learning_rate, cfg.momentum, cfg.weight_decay
     rng = np.random.default_rng(cfg.seed)
-    n_batches = int(np.ceil(data.size / cfg.batch_size))
-    if schedule is None:
-        schedule = default_checkpoint_schedule(n_batches, cfg.epochs)
-    total = n_batches * cfg.epochs
-    marks = {cp for cp in schedule if 0 <= cp <= total} | {total}
-
-    trace = CvTrace()
-    # the reshape keeps an empty probe list a (0, d) stack
-    probe_x = np.array([p.x for p in probes], dtype=float).reshape(len(probes), data.dim)
-
-    def record(checkpoint: int):
-        svs, cvs = _logit_spectra(net, probe_x)
-        trace.records += [CvRecord(checkpoint, p.sample_id, p.category, float(cv), s)
-                          for p, cv, s in zip(probes, cvs, svs)]
-
     done = 0
     if 0 in marks:
-        record(0)
+        at_mark(0, net, params)
     for _ in range(cfg.epochs):
         order = rng.permutation(data.size)
         for start in range(0, data.size, cfg.batch_size):
@@ -550,8 +529,104 @@ def train(net: TinyNet, data: Dataset, cfg: TrainConfig,
             params -= step
             done += 1
             if done in marks:
-                record(done)
-    return net, trace
+                at_mark(done, net, params)
+    return net
+
+
+def _records(checkpoint: int, probes, svs: np.ndarray, cvs: np.ndarray) -> list[CvRecord]:
+    return [CvRecord(checkpoint, p.sample_id, p.category, float(cv), s)
+            for p, cv, s in zip(probes, cvs, svs)]
+
+
+def _train_spectra_forked(net: TinyNet, data: Dataset, cfg: TrainConfig, marks: set[int],
+                          probes, probe_x: np.ndarray):
+    """train's result with the spectra taken in a fed _forked.Child; None if it failed.
+
+    The child gets the flat parameter buffer at each mark, and sends back
+    float64 rows: each mark's (S, k) singular values, then its (S,) cvs.
+    """
+    k = min(net.layer_dims[0], net.layer_dims[-1])
+    S = probe_x.shape[0]
+
+    def take_spectra(src, out):
+        while snapshot := src.read(net.param_count * 8):
+            views = _layer_views(net, np.frombuffer(snapshot))
+            svs, cvs = _logit_spectra(TinyNet(net.layer_dims, *views, net.hidden_activation),
+                                      probe_x)
+            out.write(svs.tobytes())
+            out.write(cvs.tobytes())
+
+    def send(checkpoint, trained, params):
+        try:
+            child.feed.write(params)
+            child.feed.flush()
+        except BrokenPipeError:
+            pass  # the child failed, so its join fails
+
+    with _forked.Child(take_spectra, fed=True) as child:
+        if child.feed is None:
+            return None
+        trained = _sgd(net, data, cfg, marks, send)
+        rows = io.BytesIO()
+        if not child.join(rows):
+            return None
+    # a view of the joined bytes, writable as the in-process spectra are
+    table = np.frombuffer(rows.getbuffer()).reshape(len(marks), S * (k + 1))
+    trace = CvTrace()
+    for checkpoint, row in zip(sorted(marks), table):
+        trace.records += _records(checkpoint, probes, row[:S * k].reshape(S, k), row[S * k:])
+    return trained, trace
+
+
+def train(net: TinyNet, data: Dataset, cfg: TrainConfig,
+          probes: list[ProbeSample] = (), schedule: list[int] | None = None,
+          ) -> tuple[TinyNet, CvTrace]:
+    """Minibatch SGD with momentum and additive weight decay.
+
+    The input net is not modified. Shuffling is derived from cfg.seed, so
+    two runs with identical arguments produce bit-identical weights. At
+    each scheduled checkpoint (counted in completed batches) the probe
+    samples' Jacobian spectra are recorded.
+
+    With probes, more than one usable CPU, and a net narrow enough for
+    _forked.one_blas_thread (with an OpenBLAS it can set), the spectra are
+    taken in a forked process, fed each checkpoint's weights while the
+    training goes on here, both processes with numpy's OpenBLAS on one
+    thread; the caller's thread count is back on return. If that process
+    cannot be forked, the spectra are taken here; if it fails, the training
+    runs again here, on the caller's count, and takes them itself. Either
+    way the records and the net are the same bits.
+    """
+    if data.dim != net.layer_dims[0]:
+        raise ValueError(
+            f"data dim {data.dim} does not match net input {net.layer_dims[0]}")
+    n_batches = int(np.ceil(data.size / cfg.batch_size))
+    if schedule is None:
+        schedule = default_checkpoint_schedule(n_batches, cfg.epochs)
+    total = n_batches * cfg.epochs
+    marks = {cp for cp in schedule if 0 <= cp <= total} | {total}
+    # the reshape keeps an empty probe list a (0, d) stack
+    probe_x = np.array([p.x for p in probes], dtype=float).reshape(len(probes), data.dim)
+
+    # the most multiply-adds of one product of a batch, forward or backward;
+    # each product of the SGD and of the spectra sums over a batch or a layer
+    dims = net.layer_dims
+    widest = cfg.batch_size * max(a * b for a, b in zip(dims, dims[1:]))
+    longest = max(cfg.batch_size, *dims)
+    if (probes and _forked.usable_cpus() > 1
+            and (one_blas_thread := _forked.one_blas_thread(widest, longest)) is not None):
+        # the child is forked within the block, so it too runs on one thread
+        with one_blas_thread:
+            forked = _train_spectra_forked(net, data, cfg, marks, probes, probe_x)
+        if forked is not None:
+            return forked
+
+    trace = CvTrace()
+
+    def record(checkpoint, trained, params):
+        trace.records += _records(checkpoint, probes, *_logit_spectra(trained, probe_x))
+
+    return _sgd(net, data, cfg, marks, record), trace
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@ import os
 
 import pytest
 
+from attrakit import _forked
+
 
 @pytest.fixture
 def forks(monkeypatch):
@@ -21,3 +23,15 @@ def forks(monkeypatch):
     yield pids
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def openblas():
+    """(get, set) of numpy's OpenBLAS thread count, put back after the test; skips without one."""
+    threads = _forked._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS is no OpenBLAS whose threads can be set")
+    get, set_ = threads
+    before = get()
+    yield threads
+    set_(before)

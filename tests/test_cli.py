@@ -889,19 +889,37 @@ def test_simulate_forks_a_formatter_before_the_last_block_is_stepped(tmp_path, m
     assert forks_at_check == [0] + [1] * (len(forks_at_check) - 1)
 
 
+PROBE_ARGV = ["probe", "--synthetic", "--classes", "3", "--dim", "8", "--per-class", "60",
+              "--epochs", "2", "--probes-per-category", "4", "--samples-per-group", "20",
+              "--seed", "5"]
+
+
+def test_probe_taking_spectra_in_a_second_process_writes_the_bytes_of_one_cpu(
+        tmp_path, monkeypatch, capsys, forks, openblas):
+    one = run_on_cpus(monkeypatch, capsys, PROBE_ARGV, tmp_path / "one", 1)
+    assert forks == []
+    assert run_on_cpus(monkeypatch, capsys, PROBE_ARGV, tmp_path / "two", 2) == one
+    assert len(forks) == 1
+
+
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
-@pytest.mark.parametrize("recipe", ["analyze", "map", "rk4"])
+@pytest.mark.parametrize("recipe", ["analyze", "map", "rk4", "probe"])
 def test_a_fork_that_cannot_start_leaves_its_work_to_this_process(tmp_path, monkeypatch,
-                                                                  capsys, recipe):
+                                                                  capsys, request, recipe):
     # os.fork failing as at a process limit, on 2 usable CPUs: the starts
-    # of the range or the rows of the formatter are done here, so the run
-    # writes the bytes of one CPU and leaves no feed or descriptor behind
+    # of the range, the rows of the formatter or the probe's spectra are
+    # done here, so the run writes the bytes of one CPU and leaves no feed
+    # or descriptor behind
+    if recipe == "probe":
+        request.getfixturevalue("openblas")  # train forks only where it can pin OpenBLAS
     if recipe == "analyze":
         assert main(["construct", "--p", "6", "--z", "4", "--m", "2", "--seed", "3",
                      "--out-dir", str(tmp_path / "construct")]) == 0
         capsys.readouterr()
         argv = ["analyze", str(tmp_path / "construct" / "system.json"), "--starts", "64",
                 "--seed", "3"]
+    elif recipe == "probe":
+        argv = PROBE_ARGV
     else:
         argv = simulate_argv(tmp_path, recipe, 5000)
     one = run_on_cpus(monkeypatch, capsys, argv, tmp_path / "one", 1)

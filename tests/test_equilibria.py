@@ -520,3 +520,35 @@ def test_search_raises_the_error_of_one_range(monkeypatch, forks, cpus):
     with pytest.raises(ValueError, match=f"refinement failed in process {os.getpid()}$"):
         search_in_ranges(monkeypatch, sys1, box, 4 * S, cpus)
     assert len(forks) == cpus - 1
+
+
+@pytest.fixture(scope="module", params=[15, 45, 601])
+def constructed_search(request):
+    """A constructed n = 40, m = 3 instance and the points a 256-start search keeps."""
+    ca = construct_relu_attractor(24, 16, 3, seed=request.param)
+    return ca, find_equilibria(ca.sys, (-5.0, 5.0), 256, request.param)
+
+
+def test_null_vectors_at_on_set_points_lie_in_the_constructed_set(constructed_search):
+    # a relu kink may drop null directions from the count, but never adds a
+    # direction off the set: the largest sine between the null space and the
+    # span of point_at(e_i) - point_at(0) is round-off
+    ca, reports = constructed_search
+    origin = ca.point_at(np.zeros(ca.m))
+    span, _ = np.linalg.qr(np.stack([ca.point_at(e) - origin for e in np.eye(ca.m)], axis=1))
+    on_set = [r for r in reports if ca.project(r.point)[1] <= 1e-6 and r.attractor_dim >= 1]
+    assert len(on_set) >= 10
+    for r in on_set:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", KinkWarning)
+            _, _, vt = np.linalg.svd(residual_jacobian(ca.sys, r.point))
+        null = vt[ca.n - r.attractor_dim:].T
+        assert np.linalg.norm(null - span @ (span.T @ null), 2) <= 1e-10
+
+
+def test_marginal_count_equals_attractor_dim_at_every_kept_point(constructed_search):
+    # the eigenvalues near the stability boundary and the singular values
+    # under the rank cut count the same directions, on the set and off it
+    _, reports = constructed_search
+    assert len(reports) >= 10
+    assert [r.marginal_count for r in reports] == [r.attractor_dim for r in reports]

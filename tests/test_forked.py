@@ -1,10 +1,14 @@
 import ast
 import errno
 import io
+import json
 import os
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from attrakit import _forked
@@ -163,7 +167,8 @@ def test_child_that_fails_is_reaped_and_its_part_not_copied(tmp_path, forks):
     sink = io.BytesIO()
     with _forked.Child(fail, tmp_path, fed=True) as child:
         with pytest.raises(BrokenPipeError):
-            for _ in range(100):  # more than a pipe holds
+            # more than a feed's pipe holds
+            for _ in range(2 * _forked._FEED_PIPE_BYTES // 4096):
                 child.feed.write(b"x" * 4096)
                 child.feed.flush()
         assert not child.join(sink)
@@ -205,3 +210,89 @@ def test_fed_child_that_cannot_fork_has_no_feed_and_a_join_that_fails(tmp_path, 
         assert not child.join(sink)
     assert sink.getvalue() == b""
     assert os.listdir(tmp_path) == [] and open_fds() == fds
+
+
+def threads_after_import(modules):
+    """Entries in /proc/self/task and OPENBLAS_NUM_THREADS after importing modules afresh."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import json, os, {modules}\n"
+            "print(json.dumps([len(os.listdir('/proc/self/task')),\n"
+            "                  os.environ.get('OPENBLAS_NUM_THREADS')]))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    return json.loads(done.stdout)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+def test_import_leaves_openblas_threads_as_numpy_starts_them():
+    assert threads_after_import("attrakit.cli") == threads_after_import("numpy")
+
+
+def test_one_blas_thread_pins_its_block_and_puts_the_count_back(openblas):
+    get, set_ = openblas
+    set_(3)
+    pin = _forked.one_blas_thread(_forked.BLAS_ONE_THREAD_PRODUCT, _forked.BLAS_ONE_BLOCK_INNER)
+    with pin:
+        assert get() == 1
+    assert get() == 3
+    with pytest.raises(RuntimeError), _forked.one_blas_thread(1, 1):
+        assert get() == 1
+        raise RuntimeError
+    assert get() == 3
+
+
+def test_one_blas_thread_is_none_past_either_bound_or_without_openblas(monkeypatch):
+    assert _forked.one_blas_thread(_forked.BLAS_ONE_THREAD_PRODUCT + 1, 1) is None
+    assert _forked.one_blas_thread(1, _forked.BLAS_ONE_BLOCK_INNER + 1) is None
+    monkeypatch.setattr(_forked, "_openblas_threads", lambda: None)
+    assert _forked.one_blas_thread(1, 1) is None
+
+
+@pytest.mark.parametrize("m, k, n", [(32, 128, 64), (384, 128, 64), (1000, 12, 128),
+                                     (384, 128, 128), (128, 128, 128)])
+def test_a_product_within_the_bounds_has_the_bits_of_any_thread_count(openblas, m, k, n):
+    # the premise of one_blas_thread: inner lengths up to BLAS_ONE_BLOCK_INNER,
+    # split by rows and columns on several threads or not split at all
+    get, set_ = openblas
+    rng = np.random.default_rng(m * k * n)
+    A, B = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+    products = []
+    for threads in (1, 2, 3):
+        set_(threads)
+        products.append((A @ B).tobytes())
+        products.append((B.T @ A.T).tobytes())
+    assert products[0::2] == [products[0]] * 3 and products[1::2] == [products[1]] * 3
+
+
+def test_fed_child_feed_holds_a_mebibyte_where_the_kernel_allows(tmp_path, forks):
+    fcntl = pytest.importorskip("fcntl")
+    src, feed = os.pipe()
+    try:
+        fcntl.fcntl(feed, fcntl.F_SETPIPE_SZ, 1 << 20)
+    except OSError:
+        pytest.skip("this kernel grants no 1 MiB pipe")
+    finally:
+        os.close(src)
+        os.close(feed)
+    with _forked.Child(read_all, tmp_path, fed=True) as child:
+        assert fcntl.fcntl(child.feed.fileno(), fcntl.F_GETPIPE_SZ) == 1 << 20
+        assert child.join(io.BytesIO())
+
+
+def test_attrakit_imports_and_feeds_a_child_without_fcntl():
+    # where there is no fcntl (Windows), a feed's pipe keeps its default size
+    code = ("import io, sys\n"
+            "sys.modules['fcntl'] = None\n"
+            "import attrakit.cli\n"
+            "from attrakit import _forked\n"
+            "def upper(src, out):\n"
+            "    out.write(src.read().upper())\n"
+            "with _forked.Child(upper, fed=True) as child:\n"
+            "    child.feed.write(b'abc')\n"
+            "    sink = io.BytesIO()\n"
+            "    print(child.join(sink), sink.getvalue())\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout == "True b'ABC'\n"

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attrakit import _forked, probe
 from attrakit.dynsys import Activation
 from attrakit.probe import (
     HELD_OUT_CLASS,
@@ -472,6 +473,126 @@ def test_train_without_probes_records_nothing():
     cfg = TrainConfig(learning_rate=0.05, epochs=1, seed=29)
     _, trace = train(TinyNet.init([8, 6, 3], seed=29), data, cfg, probes=[])
     assert trace.records == []
+
+
+def train_seeing_cpus(monkeypatch, cpus, net, data, cfg, probes):
+    """train's result where `cpus` CPUs are usable."""
+    monkeypatch.setattr(_forked, "usable_cpus", lambda: cpus)
+    return train(net, data, cfg, probes=probes)
+
+
+def assert_same_training(got, want):
+    (got_net, got_trace), (want_net, want_trace) = got, want
+    for a, b in zip(got_net.weights + got_net.biases, want_net.weights + want_net.biases):
+        assert np.array_equal(a, b)
+    assert len(got_trace.records) == len(want_trace.records)
+    for r, s in zip(got_trace.records, want_trace.records):
+        assert (r.checkpoint, r.sample_id, r.category) == (s.checkpoint, s.sample_id, s.category)
+        assert struct.pack("<d", r.cv) == struct.pack("<d", s.cv)
+        assert r.singular_values.dtype == s.singular_values.dtype
+        assert r.singular_values.tobytes() == s.singular_values.tobytes()
+
+
+def spectra_run():
+    """A net, data, config and probes for a short training with 21 checkpoints."""
+    data = synth_blobs(C=3, d=12, per_class=120, separation=6.0, seed=31)
+    cfg = TrainConfig(learning_rate=0.05, epochs=2, seed=31)
+    return (TinyNet.init([12, 32, 16, 3], seed=31), data, cfg,
+            make_probe_samples(data, n_per_category=5, seed=32))
+
+
+def test_train_with_a_spectra_process_records_the_bits_of_one_cpu(monkeypatch, forks,
+                                                                   openblas):
+    # one forked process takes the spectra on 2 CPUs as on 3; none on 1; the
+    # 1-CPU run takes them here on two OpenBLAS threads
+    openblas[1](2)
+    run = spectra_run()
+    one = train_seeing_cpus(monkeypatch, 1, *run)
+    assert forks == [] and len(one[1].records) > 0
+    for forked, cpus in enumerate((2, 3), start=1):
+        assert_same_training(train_seeing_cpus(monkeypatch, cpus, *run), one)
+        assert len(forks) == forked
+
+
+def test_train_runs_both_processes_on_one_blas_thread_and_puts_the_count_back(
+        monkeypatch, forks, openblas, tmp_path):
+    get, set_ = openblas
+    set_(3)
+    seen = tmp_path / "seen"
+    sgd, spectra = probe._sgd, probe._logit_spectra
+
+    def sgd_seeing_threads(*args):
+        with seen.open("a") as f:
+            f.write(f"sgd {get()}\n")
+        return sgd(*args)
+
+    def spectra_seeing_threads(net, X):
+        # written from the spectra process, which forked after the sgd began
+        with seen.open("a") as f:
+            f.write(f"spectra {get()}\n")
+        return spectra(net, X)
+    monkeypatch.setattr(probe, "_sgd", sgd_seeing_threads)
+    monkeypatch.setattr(probe, "_logit_spectra", spectra_seeing_threads)
+    _, trace = train_seeing_cpus(monkeypatch, 2, *spectra_run())
+    assert len(forks) == 1
+    assert get() == 3
+    lines = seen.read_text().splitlines()
+    assert lines.count("sgd 1") == 1
+    assert lines.count("spectra 1") == len(trace.checkpoints()) == len(lines) - 1
+
+
+def test_train_takes_the_spectra_here_when_the_spectra_process_fails(monkeypatch, forks,
+                                                                     openblas):
+    run = spectra_run()
+    one = train_seeing_cpus(monkeypatch, 1, *run)
+    parent = os.getpid()
+    spectra = probe._logit_spectra
+    calls = {"here": 0, "forked": 0}
+
+    def fail_at_the_third_snapshot(net, X):
+        where = "here" if os.getpid() == parent else "forked"
+        calls[where] += 1
+        if where == "forked" and calls[where] == 3:
+            raise RuntimeError("the spectra process fails")
+        return spectra(net, X)
+    monkeypatch.setattr(probe, "_logit_spectra", fail_at_the_third_snapshot)
+    assert_same_training(train_seeing_cpus(monkeypatch, 2, *run), one)
+    assert len(forks) == 1
+    # the forked counts stay in that process; here, the training ran again
+    # and took every checkpoint's spectra itself
+    assert calls["here"] == len(one[1].checkpoints())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_diverging_with_a_spectra_process_leaves_no_process(monkeypatch, forks, openblas):
+    get, set_ = openblas
+    set_(2)
+    net, data, _, probes = spectra_run()
+    cfg = TrainConfig(learning_rate=1e4, epochs=3, seed=8)
+    with pytest.raises(TrainingDivergedError):
+        train_seeing_cpus(monkeypatch, 2, net, data, cfg, probes)
+    assert len(forks) == 1
+    assert _forked._feeds == set()
+    assert get() == 2
+
+
+@pytest.mark.parametrize("case", ["no-probes", "no-openblas", "wide-product", "long-inner"])
+def test_train_forks_only_where_one_blas_thread_holds(monkeypatch, forks, case):
+    net, data, cfg, probes = spectra_run()
+    if case == "no-probes":
+        probes = []
+    elif case == "no-openblas":
+        monkeypatch.setattr(_forked, "_openblas_threads", lambda: None)
+    elif case == "wide-product":
+        # 64 * 128 * 64 multiply-adds, more than OpenBLAS keeps to one thread
+        net = TinyNet.init([12, 128, 64, 3], seed=31)
+        cfg = TrainConfig(learning_rate=0.05, epochs=2, seed=31, batch_size=64)
+    else:
+        # a product summing over 129 terms, more than one block is taken to hold
+        net = TinyNet.init([12, 129, 16, 3], seed=31)
+    one = train_seeing_cpus(monkeypatch, 1, net, data, cfg, probes)
+    assert_same_training(train_seeing_cpus(monkeypatch, 2, net, data, cfg, probes), one)
+    assert forks == []
 
 
 def test_stratification_skips_empty_group():
