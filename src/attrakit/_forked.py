@@ -15,11 +15,11 @@ A feed's pipe is asked to hold 1 MiB (64 KiB by default), so a caller that
 sends its work in bursts, such as probe.train's 80 KB of weights a few ms
 apart, seldom waits for the child to read.
 
-one_blas_thread puts numpy's OpenBLAS on one thread for a with block,
-where that moves no bits and takes no thread from the caller's products
-(a child forked in the block inherits the one thread). A child that calls
-BLAS while this process does pays off only so, as OpenBLAS's threads
-otherwise take the core the child runs on; probe.train forks one only so.
+one_blas_thread puts numpy's OpenBLAS on one thread for a with block; a
+child forked in the block inherits the one thread. probe.train trains
+with probes so: its spectra child pays off only then, as OpenBLAS's
+threads otherwise take the core the child runs on, and on one thread a
+product's bits do not depend on how many CPUs there are.
 """
 
 from __future__ import annotations
@@ -38,18 +38,6 @@ _feeds: set[int] = set()
 
 # the size asked for a feed's pipe: the most an unprivileged process may ask
 _FEED_PIPE_BYTES = 1 << 20
-
-# OpenBLAS computes a matrix product of at most this many multiply-adds
-# (m * n * k) on one thread whatever its thread count (SMP_THRESHOLD_MIN
-# times the default GEMM_MULTITHREAD_THRESHOLD), so with the same bits
-BLAS_ONE_THREAD_PRODUCT = 65536 * 4
-
-# a larger product OpenBLAS splits across threads by rows and columns, and
-# it sums the inner dimension k in blocks (GEMM_Q, 384 doubles on
-# SkylakeX) that fall differently on one thread and on more once k exceeds
-# a block: MNIST's k = 784 rounds differently, k up to 384 did not, on
-# SkylakeX. Up to this k, a product is taken to keep its bits
-BLAS_ONE_BLOCK_INNER = 128
 
 
 def usable_cpus() -> int:
@@ -91,28 +79,23 @@ def _openblas_threads():
     return None
 
 
-def one_blas_thread(widest_product: int, longest_inner: int):
-    """A context manager that puts numpy's OpenBLAS on one thread for its block, or None.
-
-    widest_product is the most multiply-adds (m * n * k) of a product on
-    the caller's critical path, longest_inner the longest k of any product
-    in the block. None where the first is above BLAS_ONE_THREAD_PRODUCT (the
-    pin would take threads from those products), the second above
-    BLAS_ONE_BLOCK_INNER (it could move bits), or where numpy's BLAS is no
-    OpenBLAS found here. Leaving the block puts the caller's count back.
-    """
-    narrow = (widest_product <= BLAS_ONE_THREAD_PRODUCT
-              and longest_inner <= BLAS_ONE_BLOCK_INNER)
-    threads = _openblas_threads() if narrow else None
-    return None if threads is None else _on_one_thread(*threads)
-
-
 @contextlib.contextmanager
-def _on_one_thread(get, set_):
+def one_blas_thread():
+    """numpy's OpenBLAS on one thread for the with block; it yields True so.
+
+    Where numpy's BLAS is no OpenBLAS found here, it yields False and leaves
+    the BLAS alone. Leaving the block, by an exception too, puts the
+    caller's count back.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield False
+        return
+    get, set_ = threads
     before = get()
     set_(1)
     try:
-        yield
+        yield True
     finally:
         set_(before)
 
@@ -166,7 +149,8 @@ class Child:
                     os.close(fd)
                 out = io.BufferedWriter(self._part)
                 if fed:
-                    work(open(src, "rb"), out)
+                    with open(src, "rb") as source:
+                        work(source, out)
                 else:
                     work(out)
                 out.flush()

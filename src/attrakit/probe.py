@@ -9,6 +9,7 @@ strongly the learned map stratifies around each sample.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import itertools
@@ -511,25 +512,27 @@ def _sgd(net: TinyNet, data: Dataset, cfg: TrainConfig, marks: set[int], at_mark
     done = 0
     if 0 in marks:
         at_mark(0, net, params)
-    for _ in range(cfg.epochs):
-        order = rng.permutation(data.size)
-        for start in range(0, data.size, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            loss = _loss_and_gradients_into(net, data.inputs[idx], data.labels[idx],
-                                            grad_w, grad_b)
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(done, loss, lr)
-            # v = m·v + (g + wd·W), then W -= lr·v: one rounding per product
-            # and sum of each element, so the buffer layout changes no bit
-            np.multiply(params, wd, out=step)
-            step += grad
-            vel *= mom
-            vel += step
-            np.multiply(vel, lr, out=step)
-            params -= step
-            done += 1
-            if done in marks:
-                at_mark(done, net, params)
+    # a diverging batch overflows or turns NaN until its loss is checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            order = rng.permutation(data.size)
+            for start in range(0, data.size, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                loss = _loss_and_gradients_into(net, data.inputs[idx], data.labels[idx],
+                                                grad_w, grad_b)
+                if not math.isfinite(loss):
+                    raise TrainingDivergedError(done, loss, lr)
+                # v = m·v + (g + wd·W), then W -= lr·v: one rounding per product
+                # and sum of each element, so the buffer layout changes no bit
+                np.multiply(params, wd, out=step)
+                step += grad
+                vel *= mom
+                vel += step
+                np.multiply(vel, lr, out=step)
+                params -= step
+                done += 1
+                if done in marks:
+                    at_mark(done, net, params)
     return net
 
 
@@ -588,14 +591,14 @@ def train(net: TinyNet, data: Dataset, cfg: TrainConfig,
     each scheduled checkpoint (counted in completed batches) the probe
     samples' Jacobian spectra are recorded.
 
-    With probes, more than one usable CPU, and a net narrow enough for
-    _forked.one_blas_thread (with an OpenBLAS it can set), the spectra are
-    taken in a forked process, fed each checkpoint's weights while the
-    training goes on here, both processes with numpy's OpenBLAS on one
-    thread; the caller's thread count is back on return. If that process
-    cannot be forked, the spectra are taken here; if it fails, the training
-    runs again here, on the caller's count, and takes them itself. Either
-    way the records and the net are the same bits.
+    With probes, the training runs with numpy's OpenBLAS on one thread,
+    the caller's count back on return, so the records and the net are the
+    same bits on any number of CPUs. There, given more than one usable CPU
+    and an OpenBLAS it can set, the spectra are taken in a forked process,
+    fed each checkpoint's weights while the training goes on here. If that
+    process cannot be forked, the spectra are taken here; if it fails, the
+    training runs again here and takes them itself. Without probes, the
+    training runs on the caller's thread count.
     """
     if data.dim != net.layer_dims[0]:
         raise ValueError(
@@ -607,26 +610,18 @@ def train(net: TinyNet, data: Dataset, cfg: TrainConfig,
     marks = {cp for cp in schedule if 0 <= cp <= total} | {total}
     # the reshape keeps an empty probe list a (0, d) stack
     probe_x = np.array([p.x for p in probes], dtype=float).reshape(len(probes), data.dim)
-
-    # the most multiply-adds of one product of a batch, forward or backward;
-    # each product of the SGD and of the spectra sums over a batch or a layer
-    dims = net.layer_dims
-    widest = cfg.batch_size * max(a * b for a, b in zip(dims, dims[1:]))
-    longest = max(cfg.batch_size, *dims)
-    if (probes and _forked.usable_cpus() > 1
-            and (one_blas_thread := _forked.one_blas_thread(widest, longest)) is not None):
-        # the child is forked within the block, so it too runs on one thread
-        with one_blas_thread:
-            forked = _train_spectra_forked(net, data, cfg, marks, probes, probe_x)
-        if forked is not None:
-            return forked
-
     trace = CvTrace()
 
     def record(checkpoint, trained, params):
         trace.records += _records(checkpoint, probes, *_logit_spectra(trained, probe_x))
 
-    return _sgd(net, data, cfg, marks, record), trace
+    # a child forked in the block runs on the one thread too
+    with _forked.one_blas_thread() if probes else contextlib.nullcontext(False) as pinned:
+        if pinned and _forked.usable_cpus() > 1:
+            forked = _train_spectra_forked(net, data, cfg, marks, probes, probe_x)
+            if forked is not None:
+                return forked
+        return _sgd(net, data, cfg, marks, record), trace
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,27 @@ def forks(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture(autouse=True)
+def blas_threads_kept():
+    """Fails a test that leaves numpy's OpenBLAS on another thread count than it found.
+
+    Nothing is checked where numpy's BLAS is no OpenBLAS whose threads can be set.
+    """
+    threads = _forked._openblas_threads()
+    before = threads and threads[0]()
+    yield
+    if threads is not None:
+        after = threads[0]()
+        threads[1](before)  # so that no later test starts from the wrong count
+        assert after == before, f"the test left OpenBLAS on {after} threads, not {before}"
+
+
 @pytest.fixture
-def openblas():
-    """(get, set) of numpy's OpenBLAS thread count, put back after the test; skips without one."""
+def openblas(blas_threads_kept):
+    """(get, set) of numpy's OpenBLAS thread count, put back after the test; skips without one.
+
+    It puts the count back before blas_threads_kept checks it.
+    """
     threads = _forked._openblas_threads()
     if threads is None:
         pytest.skip("numpy's BLAS is no OpenBLAS whose threads can be set")

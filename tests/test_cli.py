@@ -44,7 +44,7 @@ def write_idx_fixture(tmp_path, n_classes=4, per_class=30, side=6, seed=0):
     labels = np.repeat(np.arange(n_classes, dtype=np.uint8), per_class)
     images = np.empty((labels.shape[0], side, side), dtype=np.uint8)
     for i, label in enumerate(labels):
-        base = np.full((side, side), 40 * (label + 1), dtype=float)
+        base = np.full((side, side), 40 * (int(label) + 1), dtype=float)
         images[i] = np.clip(base + rng.normal(0, 12, (side, side)), 0, 255).astype(np.uint8)
     img_path = tmp_path / "images.idx"
     lbl_path = tmp_path / "labels.idx"
@@ -953,6 +953,42 @@ def test_simulate_diverging_after_forks_leaves_no_file_and_no_process(tmp_path, 
     assert list(out.iterdir()) == []
 
 
+def test_construct_failing_its_verification_exits_1_and_writes_no_manifest(tmp_path, capsys):
+    # at c_max 1e12 the built system's residuals exceed the check's tolerance
+    out = tmp_path / "run"
+    assert main(["construct", "--p", "4", "--z", "3", "--m", "2", "--c-max", "1e12",
+                 "--samples", "5", "--seed", "1", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split("(")[0] for line in err[:-1]] == [
+        f"  sample {i}: residual check failed " for i in range(5)]
+    assert err[-1] == "construction failed: verification failed; see diagnostics above"
+    assert sorted(p.name for p in out.iterdir()) == ["system.json", "verification.json"]
+    assert json.loads((out / "verification.json").read_text())["passed"] is False
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_probe_diverging_exits_4_with_one_line(tmp_path, monkeypatch, capsys, request, cpus):
+    if cpus > 1:
+        forks = request.getfixturevalue("forks")
+        get, set_ = request.getfixturevalue("openblas")
+        set_(2)
+    monkeypatch.setattr(_forked, "usable_cpus", lambda: cpus)
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["probe", "--synthetic", "--lr", "1e6", "--epochs", "1", "--per-class",
+                     "100", "--probes-per-category", "4", "--seed", "1", "--out-dir", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "training failed: non-finite loss nan at batch 6 (lr=1000000.0)\n")
+    assert list(out.iterdir()) == []
+    if cpus > 1:
+        # the spectra process was forked, and is reaped (see the forks fixture)
+        assert len(forks) == 1
+        assert _forked._feeds == set()
+        assert get() == 2
+
+
 def test_readme_recipes_parse():
     # every `attrakit ...` line of README's command-line block, continuations joined
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -978,15 +1014,16 @@ def test_analyze_rerun_reproduces_hashes(tmp_path):
     assert out_hashes(a) == out_hashes(b)
 
 
+def pin_to_one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
 def test_analyze_on_every_cpu_matches_a_one_cpu_run(tmp_path):
     # analyze refines its 64 starts in one range per usable CPU; the run
     # pinned to one CPU forks nothing, and both must give the same bytes
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-
-    def pin_to_one_cpu():
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
     def run(argv, preexec_fn):
         done = subprocess.run([sys.executable, "-m", "attrakit.cli", *argv],
@@ -1005,3 +1042,25 @@ def test_analyze_on_every_cpu_matches_a_one_cpu_run(tmp_path):
         runs.append((stdout, out_hashes(out / "construct"), out_hashes(out / "analyze")))
     assert runs[0] == runs[1]
     assert list(runs[0][2]) == ["equilibria.json"]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_probe_mnist_on_every_cpu_matches_a_one_cpu_run(tmp_path, openblas):
+    # the first layer's 32x784 by 784x128 products sum 784 terms, which
+    # OpenBLAS blocks differently on one thread and on two; train runs
+    # them on one thread, so the bytes do not depend on the CPU count
+    images, labels = write_idx_fixture(tmp_path, n_classes=10, per_class=60, side=28)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    runs = []
+    for preexec_fn in (None, pin_to_one_cpu):
+        out = tmp_path / ("one" if preexec_fn else "every")
+        done = subprocess.run(
+            [sys.executable, "-m", "attrakit.cli", "probe", "--mnist", str(images), str(labels),
+             "--holdout-digit", "4", "--epochs", "1", "--probes-per-category", "4",
+             "--samples-per-group", "10", "--seed", "5", "--out-dir", str(out)],
+            capture_output=True, text=True, env=env, timeout=120, preexec_fn=preexec_fn)
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        runs.append((done.stdout, out_hashes(out)))
+    assert runs[0] == runs[1]
+    assert sorted(runs[0][1]) == ["cvtrace.csv", "model.json", "stratification.csv",
+                                  "stratification_samples.csv"]

@@ -232,28 +232,32 @@ def test_import_leaves_openblas_threads_as_numpy_starts_them():
 def test_one_blas_thread_pins_its_block_and_puts_the_count_back(openblas):
     get, set_ = openblas
     set_(3)
-    pin = _forked.one_blas_thread(_forked.BLAS_ONE_THREAD_PRODUCT, _forked.BLAS_ONE_BLOCK_INNER)
-    with pin:
-        assert get() == 1
+    with _forked.one_blas_thread() as pinned:
+        assert pinned is True and get() == 1
     assert get() == 3
-    with pytest.raises(RuntimeError), _forked.one_blas_thread(1, 1):
+    with pytest.raises(RuntimeError), _forked.one_blas_thread():
         assert get() == 1
         raise RuntimeError
     assert get() == 3
 
 
-def test_one_blas_thread_is_none_past_either_bound_or_without_openblas(monkeypatch):
-    assert _forked.one_blas_thread(_forked.BLAS_ONE_THREAD_PRODUCT + 1, 1) is None
-    assert _forked.one_blas_thread(1, _forked.BLAS_ONE_BLOCK_INNER + 1) is None
+def test_one_blas_thread_yields_false_and_leaves_the_blas_alone_without_openblas(
+        monkeypatch, openblas):
+    get, set_ = openblas
+    set_(3)
     monkeypatch.setattr(_forked, "_openblas_threads", lambda: None)
-    assert _forked.one_blas_thread(1, 1) is None
+    with _forked.one_blas_thread() as pinned:
+        assert pinned is False and get() == 3
+    assert get() == 3
 
 
 @pytest.mark.parametrize("m, k, n", [(32, 128, 64), (384, 128, 64), (1000, 12, 128),
                                      (384, 128, 128), (128, 128, 128)])
 def test_a_product_within_the_bounds_has_the_bits_of_any_thread_count(openblas, m, k, n):
-    # the premise of one_blas_thread: inner lengths up to BLAS_ONE_BLOCK_INNER,
-    # split by rows and columns on several threads or not split at all
+    # products summing over at most 128 terms, split by rows and columns on
+    # several threads or not split at all: as the synthetic probe recipe
+    # runs its accuracy and stratification study on the caller's threads,
+    # its bytes are the same on any number of CPUs
     get, set_ = openblas
     rng = np.random.default_rng(m * k * n)
     A, B = rng.standard_normal((m, k)), rng.standard_normal((k, n))

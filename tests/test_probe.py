@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -351,7 +352,7 @@ def test_training_loss_mostly_decreases_across_epochs():
     assert decreasing / total >= 0.9
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_training_diverges_with_absurd_learning_rate():
     data = synth_blobs(C=3, d=8, per_class=50, separation=6.0, seed=8)
     net = TinyNet.init([8, 16, 8, 3], seed=8)
@@ -563,7 +564,7 @@ def test_train_takes_the_spectra_here_when_the_spectra_process_fails(monkeypatch
     assert calls["here"] == len(one[1].checkpoints())
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_diverging_with_a_spectra_process_leaves_no_process(monkeypatch, forks, openblas):
     get, set_ = openblas
     set_(2)
@@ -576,23 +577,89 @@ def test_train_diverging_with_a_spectra_process_leaves_no_process(monkeypatch, f
     assert get() == 2
 
 
+def wait_until_exited(pid):
+    """Return once process pid has exited, before it is reaped (a zombie)."""
+    stat = Path(f"/proc/{pid}/stat")
+    deadline = time.monotonic() + 60
+    # the state is the field after the command name, which is in parentheses
+    while stat.read_text().rsplit(")", 1)[1].split()[0] != "Z":
+        assert time.monotonic() < deadline, f"process {pid} did not exit"
+        time.sleep(0.001)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="needs /proc/<pid>/stat")
+def test_train_feeding_a_spectra_process_that_has_exited_trains_again_here(monkeypatch,
+                                                                            forks, openblas):
+    # the spectra process fails at its first snapshot, and every later one
+    # is sent once it has exited, so each of those sends meets a closed pipe
+    run = spectra_run()
+    one = train_seeing_cpus(monkeypatch, 1, *run)
+    parent = os.getpid()
+    spectra, sgd = probe._logit_spectra, probe._sgd
+    here, trainings = [], []
+
+    def fail_in_the_spectra_process(net, X):
+        if os.getpid() != parent:
+            raise RuntimeError("the spectra process fails")
+        here.append(1)
+        return spectra(net, X)
+
+    def sgd_sending_after_the_exit(net, data, cfg, marks, at_mark):
+        trainings.append(1)
+        if len(trainings) == 1:  # the training that feeds the spectra process
+            def at_mark_after_the_exit(checkpoint, trained, params):
+                if checkpoint > 0:
+                    wait_until_exited(forks[0])
+                at_mark(checkpoint, trained, params)
+            return sgd(net, data, cfg, marks, at_mark_after_the_exit)
+        return sgd(net, data, cfg, marks, at_mark)
+    monkeypatch.setattr(probe, "_logit_spectra", fail_in_the_spectra_process)
+    monkeypatch.setattr(probe, "_sgd", sgd_sending_after_the_exit)
+    assert_same_training(train_seeing_cpus(monkeypatch, 2, *run), one)
+    assert len(forks) == 1 and len(trainings) == 2
+    assert len(here) == len(one[1].checkpoints())
+    assert _forked._feeds == set()
+
+
 @pytest.mark.parametrize("case", ["no-probes", "no-openblas", "wide-product", "long-inner"])
-def test_train_forks_only_where_one_blas_thread_holds(monkeypatch, forks, case):
+def test_train_forks_only_where_one_blas_thread_holds(monkeypatch, forks, request, case):
+    # with probes and an OpenBLAS it can set, train forks a spectra process
+    # for a net of any width, whose products then run on one thread
     net, data, cfg, probes = spectra_run()
     if case == "no-probes":
         probes = []
     elif case == "no-openblas":
         monkeypatch.setattr(_forked, "_openblas_threads", lambda: None)
-    elif case == "wide-product":
-        # 64 * 128 * 64 multiply-adds, more than OpenBLAS keeps to one thread
-        net = TinyNet.init([12, 128, 64, 3], seed=31)
-        cfg = TrainConfig(learning_rate=0.05, epochs=2, seed=31, batch_size=64)
     else:
-        # a product summing over 129 terms, more than one block is taken to hold
-        net = TinyNet.init([12, 129, 16, 3], seed=31)
+        request.getfixturevalue("openblas")
+        if case == "wide-product":
+            # 64 * 128 * 64 multiply-adds, which OpenBLAS splits across threads
+            net = TinyNet.init([12, 128, 64, 3], seed=31)
+            cfg = TrainConfig(learning_rate=0.05, epochs=2, seed=31, batch_size=64)
+        else:
+            # a product summing over 129 terms, whose blocks could fall
+            # differently on one thread and on more
+            net = TinyNet.init([12, 129, 16, 3], seed=31)
     one = train_seeing_cpus(monkeypatch, 1, net, data, cfg, probes)
     assert_same_training(train_seeing_cpus(monkeypatch, 2, net, data, cfg, probes), one)
-    assert forks == []
+    assert len(forks) == (case in ("wide-product", "long-inner"))
+
+
+def test_train_without_probes_trains_on_the_callers_blas_threads(monkeypatch, forks,
+                                                                  openblas):
+    get, set_ = openblas
+    set_(3)
+    seen = []
+    sgd = probe._sgd
+
+    def sgd_seeing_threads(*args):
+        seen.append(get())
+        return sgd(*args)
+    monkeypatch.setattr(probe, "_sgd", sgd_seeing_threads)
+    net, data, cfg, _ = spectra_run()
+    _, trace = train_seeing_cpus(monkeypatch, 2, net, data, cfg, [])
+    assert seen == [3] and trace.records == []
+    assert forks == [] and get() == 3
 
 
 def test_stratification_skips_empty_group():
