@@ -1,25 +1,26 @@
 """Work run in forked processes, each into an unnamed part file, joined in order.
 
-The one place in attrakit that forks. A Child runs work(out) in a forked
-process, out being its part, an unnamed temporary file; a fed Child runs
-work(src, out), src reading what this process writes to its feed, a pipe,
-until the join closes it and copies the part to a sink. run_in_ranges runs
-the first of its ranges here and each later one in a Child, as one process.
+The one place in attrakit that forks, and decides when. A Child runs
+work(out) in a forked process, out being its part, an unnamed temporary
+file; a fed Child runs work(src, out), src reading what this process sends
+to its feed, a pipe, until the join closes it and copies the part to a
+sink. run_in_ranges runs its first range here, each later one in a Child.
 
-A Child whose fork fails (os.fork raising OSError, say EAGAIN at a process
-limit) counts as one that exited non-zero: its pipe's ends are closed at
-once, it has no feed, and its join returns False without a wait, so the
-caller does the work here as it does for any failed child.
+A Child forks only where more than one CPU is usable. One that does not,
+or whose fork fails (os.fork raising OSError, say EAGAIN at a process
+limit), counts as one that exited non-zero: it has no feed, and its join
+returns False without a wait, so the caller does the work here as it does
+for any failed child. A send that finds the child gone drops its feed.
 
 A feed's pipe is asked to hold 1 MiB (64 KiB by default), so a caller that
 sends its work in bursts, such as probe.train's 80 KB of weights a few ms
 apart, seldom waits for the child to read.
 
 one_blas_thread puts numpy's OpenBLAS on one thread for a with block; a
-child forked in the block inherits the one thread. probe.train trains
-with probes so: its spectra child pays off only then, as OpenBLAS's
-threads otherwise take the core the child runs on, and on one thread a
-product's bits do not depend on how many CPUs there are.
+child forked in the block inherits the one thread. run_in_ranges and
+probe.train run so: a child pays off only then, as OpenBLAS's threads
+otherwise take its core, and on one thread a product's bits do not depend
+on how many CPUs there are.
 """
 
 from __future__ import annotations
@@ -105,15 +106,18 @@ class Child:
 
     Leaving the with block closes the feed, reaps the process and drops
     the part, whether or not join ran, so an error raised before the join
-    leaves neither a process nor a file behind.
+    leaves neither a process nor a file behind. On one CPU it opens none.
     """
 
     def __init__(self, work, part_dir=None, fed=False):
+        self._status = 1  # until a fork starts the child (see the module docstring)
+        self._part = None
+        self.feed = None
+        if usable_cpus() < 2:
+            return
         # unbuffered here, so a part held until the join costs this process
         # no buffer; the child writes through a buffer of its own
         self._part = tempfile.TemporaryFile(buffering=0, dir=part_dir)
-        self._status = None
-        self.feed = None
         if fed:
             src, feed = os.pipe()
             _feeds.add(feed)
@@ -135,8 +139,6 @@ class Child:
         try:
             self._pid = os.fork()
         except OSError:
-            # a child that failed before it started (see the module docstring)
-            self._status = 1
             if fed:
                 _feeds.discard(feed)
                 os.close(feed)
@@ -157,6 +159,7 @@ class Child:
                 status = 0
             finally:
                 os._exit(status)
+        self._status = None
         if fed:
             os.close(src)
             self.feed = open(feed, "wb")
@@ -166,6 +169,18 @@ class Child:
 
     def __exit__(self, *exc):
         self.close()
+
+    def send(self, data) -> bool:
+        """Write data to the feed and flush it; say whether the child still reads."""
+        if self.feed is None:
+            return False
+        try:
+            self.feed.write(data)
+            self.feed.flush()
+        except BrokenPipeError:
+            self._drop_feed()
+            return False
+        return True
 
     def join(self, sink) -> bool:
         """Reap the process and copy the part to sink if it exited 0; say whether it did."""
@@ -179,15 +194,19 @@ class Child:
         try:
             self._reap()
         finally:
-            self._part.close()
+            if self._part is not None:
+                self._part.close()
 
-    def _reap(self) -> int:
+    def _drop_feed(self) -> None:
         if self.feed is not None:
             _feeds.discard(self.feed.fileno())
             # a child that failed has closed its end, and what is unsent is moot
             with contextlib.suppress(BrokenPipeError):
                 self.feed.close()
             self.feed = None
+
+    def _reap(self) -> int:
+        self._drop_feed()
         if self._status is None:
             self._status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
         return self._status
@@ -201,7 +220,7 @@ def run_in_ranges(work, cuts, sink, part_dir=None) -> None:
     when its process failed, so any error is raised as in one process.
     """
     later = list(zip(cuts[1:-1], cuts[2:]))
-    with contextlib.ExitStack() as children:
+    with one_blas_thread(), contextlib.ExitStack() as children:
         forked = [children.enter_context(Child(functools.partial(work, lo, hi), part_dir))
                   for lo, hi in later]
         work(cuts[0], cuts[1], sink)

@@ -266,14 +266,18 @@ def cmd_simulate(args):
                                  "a discrete_map system takes --steps")
         if args.steps is None:
             raise ValueError("--steps is required for discrete_map systems")
-        last_step = args.steps
+        last_step, steps_flags = args.steps, f"--steps {args.steps}"
     else:
         if args.steps is not None:
             raise ValueError("--steps applies only to discrete_map systems; "
                              "a continuous system takes --t-end and --dt")
         if args.t_end is None or args.dt is None:
             raise ValueError("--t-end and --dt are required for continuous systems")
-        last_step = _rk4_steps(args.t_end, args.dt)
+        steps_flags = f"--t-end {args.t_end:g} --dt {args.dt:g}"
+        try:
+            last_step = _rk4_steps(args.t_end, args.dt)
+        except OverflowError:
+            raise ValueError(f"{steps_flags}: more steps than can be counted") from None
     if snapshots and snapshots[-1] > last_step:
         raise ValueError(f"snapshot step {snapshots[-1]} outside trajectory "
                          f"(last step {last_step})")
@@ -282,10 +286,13 @@ def cmd_simulate(args):
     # pass the divergence check; leaving the block reaps those processes, so
     # a run that diverges leaves neither a process nor a part behind
     with TrajectoryCsv(out_dir) as stepped:
-        if discrete:
-            traj = iterate_map(sys_obj, x0, args.steps, on_block=stepped.on_block)
-        else:
-            traj = integrate_rk4(sys_obj, x0, args.t_end, args.dt, on_block=stepped.on_block)
+        try:
+            if discrete:
+                traj = iterate_map(sys_obj, x0, args.steps, on_block=stepped.on_block)
+            else:
+                traj = integrate_rk4(sys_obj, x0, args.t_end, args.dt, on_block=stepped.on_block)
+        except MemoryError as exc:
+            raise ValueError(f"{steps_flags}: {exc}") from None
         report = slow_fast_report(traj, theta=args.theta, eps_conv=args.eps_conv)
 
         # saved only now, so a run rejected above leaves no artifact behind
@@ -499,9 +506,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    start = time.monotonic()
     try:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise OSError(f"--out-dir {out_dir}: {exc.strerror}") from None
+        start = time.monotonic()
         inputs, outputs = args.func(args)
     except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)

@@ -55,6 +55,9 @@ _LM_MU_FLOOR = 1e-12
 _LM_TRIES = 12
 _LM_STALL_STEPS = 5
 _LM_STALL_GAIN = 0.1
+_LM_MAX_ITER = 100
+
+_EQUILIBRIUM_RESIDUAL_LIMIT = 1e-8  # attractor_dimension's bound on |F| at its point
 
 # find_equilibria gives each usable CPU a range of at least this many starts.
 # Forking and reaping a ~37 MiB process costs 2.3-3.6 ms and one n = 40 start
@@ -180,7 +183,7 @@ def _build_report(sys, F, DF, x, rel_tol, eta):
     )
 
 
-def _newton_refine(F, DF, x0, tol, max_iter=100):
+def _newton_refine(F, DF, x0, tol):
     """Levenberg-Marquardt on the residual map F, with Jacobian DF, from one start.
 
     Each iteration solves (J^T J + mu I) step = -J^T r at most _LM_TRIES
@@ -190,7 +193,7 @@ def _newton_refine(F, DF, x0, tol, max_iter=100):
     near a continuum of equilibria needs no special case. A start stops
     once |F| <= tol / 10, after _LM_TRIES rejected steps in a row, when its
     last _LM_STALL_STEPS accepted steps lowered |F| by less than
-    _LM_STALL_GAIN in total (Moré 1978), or after max_iter iterations.
+    _LM_STALL_GAIN in total (Moré 1978), or after _LM_MAX_ITER iterations.
     Returns (x, converged), converged meaning |F| <= tol.
     """
     x = np.array(x0, dtype=float)
@@ -198,7 +201,7 @@ def _newton_refine(F, DF, x0, tol, max_iter=100):
     r = F(x)
     norms = [float(np.linalg.norm(r))]
     mu = _LM_MU_START
-    for _ in range(max_iter):
+    for _ in range(_LM_MAX_ITER):
         # a decade inside tol, so a start that converges has margin to spare
         if norms[-1] <= 0.1 * tol:
             break
@@ -296,12 +299,11 @@ def find_equilibria(
     return [_build_report(sys, F, DF, x, rel_tol, eta) for x in kept]
 
 
-def attractor_dimension(sys: DynamicalSystem, x_star, rel_tol: float = DEFAULT_RANK_TOL,
-                        *, residual_limit: float = 1e-8) -> int:
+def attractor_dimension(sys: DynamicalSystem, x_star, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     """State dimension minus residual-Jacobian rank at an equilibrium."""
     res = float(np.linalg.norm(residual_vector(sys, x_star)))
-    if res > residual_limit:
-        raise NotAnEquilibriumError(res, residual_limit)
+    if res > _EQUILIBRIUM_RESIDUAL_LIMIT:
+        raise NotAnEquilibriumError(res, _EQUILIBRIUM_RESIDUAL_LIMIT)
     spectrum_report = svd_spectrum(residual_jacobian(sys, x_star), rel_tol=rel_tol)
     return sys.n - spectrum_report.numerical_rank
 

@@ -65,9 +65,12 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 # rows per block of the accuracy pass, the stratification spectra and the
-# CSV writer: enough to amortise each numpy or write call, few enough that
-# a block's temporaries stay a small share of memory
-_BLOCK_ROWS = 256
+# CSV writer: enough to amortise each numpy or write call, and few enough
+# that glibc serves a block's temporaries from its heap block after block
+# (at 256 rows, the probe's peak RSS moved by up to 0.8 MiB with layout)
+_BLOCK_ROWS = 64
+
+_FIRST_EPOCH_EVERY = 10  # batches between default_checkpoint_schedule's first checkpoints
 
 
 class IdxFormatError(ValueError):
@@ -466,11 +469,10 @@ def _write_csv(path, header: list[str], lead_fmt: str, rows) -> None:
             fh.write("".join(fmt) % tuple(values))
 
 
-def default_checkpoint_schedule(n_batches_per_epoch: int, epochs: int,
-                                first_epoch_every: int = 10) -> list[int]:
+def default_checkpoint_schedule(n_batches_per_epoch: int, epochs: int) -> list[int]:
     """Checkpoint ids (batches completed): dense early, per-epoch later."""
     points = {0}
-    points.update(range(first_epoch_every, n_batches_per_epoch + 1, first_epoch_every))
+    points.update(range(_FIRST_EPOCH_EVERY, n_batches_per_epoch + 1, _FIRST_EPOCH_EVERY))
     points.update(e * n_batches_per_epoch for e in range(1, epochs + 1))
     return sorted(points)
 
@@ -536,92 +538,61 @@ def _sgd(net: TinyNet, data: Dataset, cfg: TrainConfig, marks: set[int], at_mark
     return net
 
 
-def _records(checkpoint: int, probes, svs: np.ndarray, cvs: np.ndarray) -> list[CvRecord]:
-    return [CvRecord(checkpoint, p.sample_id, p.category, float(cv), s)
-            for p, cv, s in zip(probes, cvs, svs)]
-
-
-def _train_spectra_forked(net: TinyNet, data: Dataset, cfg: TrainConfig, marks: set[int],
-                          probes, probe_x: np.ndarray):
-    """train's result with the spectra taken in a fed _forked.Child; None if it failed.
-
-    The child gets the flat parameter buffer at each mark, and sends back
-    float64 rows: each mark's (S, k) singular values, then its (S,) cvs.
-    """
-    k = min(net.layer_dims[0], net.layer_dims[-1])
-    S = probe_x.shape[0]
-
-    def take_spectra(src, out):
-        while snapshot := src.read(net.param_count * 8):
-            views = _layer_views(net, np.frombuffer(snapshot))
-            svs, cvs = _logit_spectra(TinyNet(net.layer_dims, *views, net.hidden_activation),
-                                      probe_x)
-            out.write(svs.tobytes())
-            out.write(cvs.tobytes())
-
-    def send(checkpoint, trained, params):
-        try:
-            child.feed.write(params)
-            child.feed.flush()
-        except BrokenPipeError:
-            pass  # the child failed, so its join fails
-
-    with _forked.Child(take_spectra, fed=True) as child:
-        if child.feed is None:
-            return None
-        trained = _sgd(net, data, cfg, marks, send)
-        rows = io.BytesIO()
-        if not child.join(rows):
-            return None
-    # a view of the joined bytes, writable as the in-process spectra are
-    table = np.frombuffer(rows.getbuffer()).reshape(len(marks), S * (k + 1))
-    trace = CvTrace()
-    for checkpoint, row in zip(sorted(marks), table):
-        trace.records += _records(checkpoint, probes, row[:S * k].reshape(S, k), row[S * k:])
-    return trained, trace
-
-
 def train(net: TinyNet, data: Dataset, cfg: TrainConfig,
-          probes: list[ProbeSample] = (), schedule: list[int] | None = None,
-          ) -> tuple[TinyNet, CvTrace]:
+          probes: list[ProbeSample] = ()) -> tuple[TinyNet, CvTrace]:
     """Minibatch SGD with momentum and additive weight decay.
 
     The input net is not modified. Shuffling is derived from cfg.seed, so
     two runs with identical arguments produce bit-identical weights. At
-    each scheduled checkpoint (counted in completed batches) the probe
-    samples' Jacobian spectra are recorded.
+    each checkpoint of default_checkpoint_schedule (counted in completed
+    batches) the probe samples' Jacobian spectra are recorded.
 
     With probes, the training runs with numpy's OpenBLAS on one thread,
     the caller's count back on return, so the records and the net are the
-    same bits on any number of CPUs. There, given more than one usable CPU
-    and an OpenBLAS it can set, the spectra are taken in a forked process,
-    fed each checkpoint's weights while the training goes on here. If that
-    process cannot be forked, the spectra are taken here; if it fails, the
-    training runs again here and takes them itself. Without probes, the
-    training runs on the caller's thread count.
+    same bits on any number of CPUs. There, given an OpenBLAS it can set,
+    the spectra are taken in a fed _forked.Child, sent each checkpoint's
+    weights as the training goes on; where it is not forked, they are
+    taken here, and if it fails, the training runs again here to take
+    them. Without probes, the training runs on the caller's thread count.
     """
     if data.dim != net.layer_dims[0]:
         raise ValueError(
             f"data dim {data.dim} does not match net input {net.layer_dims[0]}")
     n_batches = int(np.ceil(data.size / cfg.batch_size))
-    if schedule is None:
-        schedule = default_checkpoint_schedule(n_batches, cfg.epochs)
-    total = n_batches * cfg.epochs
-    marks = {cp for cp in schedule if 0 <= cp <= total} | {total}
+    marks = set(default_checkpoint_schedule(n_batches, cfg.epochs))
     # the reshape keeps an empty probe list a (0, d) stack
     probe_x = np.array([p.x for p in probes], dtype=float).reshape(len(probes), data.dim)
-    trace = CvTrace()
 
-    def record(checkpoint, trained, params):
-        trace.records += _records(checkpoint, probes, *_logit_spectra(trained, probe_x))
+    def record(trained, out):
+        # a mark's float64 row: the (S, k) singular values, then the (S,) cvs
+        svs, cvs = _logit_spectra(trained, probe_x)
+        out.write(svs.tobytes())
+        out.write(cvs.tobytes())
 
+    def take_spectra(src, out):
+        while snapshot := src.read(net.param_count * 8):
+            views = _layer_views(net, np.frombuffer(snapshot))
+            record(TinyNet(net.layer_dims, *views, net.hidden_activation), out)
+
+    rows = io.BytesIO()
     # a child forked in the block runs on the one thread too
     with _forked.one_blas_thread() if probes else contextlib.nullcontext(False) as pinned:
-        if pinned and _forked.usable_cpus() > 1:
-            forked = _train_spectra_forked(net, data, cfg, marks, probes, probe_x)
-            if forked is not None:
-                return forked
-        return _sgd(net, data, cfg, marks, record), trace
+        joined = False
+        if pinned:
+            with _forked.Child(take_spectra, fed=True) as child:
+                if child.feed is not None:
+                    trained = _sgd(net, data, cfg, marks,
+                                   lambda checkpoint, now, params: child.send(params))
+                joined = child.join(rows)
+        if not joined:
+            trained = _sgd(net, data, cfg, marks,
+                           lambda checkpoint, now, params: record(now, rows))
+    S, k = len(probes), min(net.layer_dims[0], net.layer_dims[-1])
+    # a view of the rows' bytes, writable as the spectra are where they are taken
+    table = np.frombuffer(rows.getbuffer()).reshape(len(marks), S * (k + 1))
+    return trained, CvTrace([CvRecord(checkpoint, p.sample_id, p.category, float(cv), s)
+                             for checkpoint, row in zip(sorted(marks), table)
+                             for p, cv, s in zip(probes, row[S * k:], row[:S * k].reshape(S, k))])
 
 
 @dataclass(frozen=True)

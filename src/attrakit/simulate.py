@@ -278,13 +278,12 @@ class CsvRows:
     `%.17g` (a bit-exact round trip) a block of _BLOCK_ROWS rows at a time.
 
     ready(count) says the first count rows are final, while the columns
-    may still be being filled. With more than one usable CPU, its first
-    call forks one formatter (a fed _forked.Child, its part in part_dir),
-    and each call sends it the newly final rows' float64 cells through a
-    pipe. write(path) copies the formatter's part after the head and then
-    formats the rows not sent, or every row if the formatter failed or
-    could not be forked, so the bytes are those of one process. close()
-    reaps the formatter.
+    may still be being filled. Its first call forks one formatter (a fed
+    _forked.Child, its part in part_dir), and each call sends it the newly
+    final rows' float64 cells through a pipe. write(path) copies the
+    formatter's part after the head and then formats the rows not sent, or
+    every row if the formatter failed or was not forked, so the bytes are
+    those of one process. close() reaps the formatter.
     """
 
     def __init__(self, head: bytes, steps, columns, part_dir=None):
@@ -293,7 +292,6 @@ class CsvRows:
         self._cells = 1 + width
         self._head, self._steps, self._columns = head, steps, columns
         self._part_dir = part_dir
-        self._feeding = _forked.usable_cpus() > 1
         self._formatter = None
         self._sent = 0  # rows before this one went to the formatter
 
@@ -317,19 +315,14 @@ class CsvRows:
 
     def ready(self, count: int) -> None:
         """The first count rows are final: send those not yet sent to the formatter."""
-        if self._feeding and self._formatter is None:
+        if self._formatter is None:
             self._formatter = _forked.Child(self._format_sent, self._part_dir, fed=True)
-            # a formatter whose fork failed has no feed, and its join fails
-            self._feeding = self._formatter.feed is not None
-        if not self._feeding:
+        # a formatter not forked, or gone, has no feed, and its join fails
+        if self._formatter.feed is None:
             return
-        try:
-            for block in self._blocks(self._sent, count):
-                self._formatter.feed.write(block)
-                self._formatter.feed.flush()
-        except BrokenPipeError:
-            # the formatter failed, so its join fails and write formats every row
-            self._feeding = False
+        for block in self._blocks(self._sent, count):
+            if not self._formatter.send(block):
+                return
         self._sent = count
 
     def write(self, path) -> None:

@@ -488,6 +488,39 @@ def test_simulate_gen_rejects_bad_input_writing_no_file(tmp_path, argv):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("below, message", [
+    ("", "File exists"),
+    ("sub", "Not a directory"),
+])
+def test_out_dir_that_cannot_be_made_exits_2_naming_the_flag(tmp_path, capsys, below, message):
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("1,2\n3,4\n")
+    (tmp_path / "F").write_text("")
+    out = tmp_path / "F" / below if below else tmp_path / "F"
+    assert main(["svd-report", str(matrix), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out-dir {out}: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "m.csv"]
+    assert (tmp_path / "F").read_text() == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--t-end", "1e300", "--dt", "1e-300"],
+     "--t-end 1e+300 --dt 1e-300: more steps than can be counted"),
+    # 2 PiB of states, more than any address space holds
+    (["--gen", "stratified", "--steps", "100000000000000"],
+     "--steps 100000000000000: Unable to allocate"),
+])
+def test_simulate_with_too_many_steps_exits_2_naming_the_flags(tmp_path, capsys, argv, message):
+    if "--t-end" in argv:
+        write_tanh_system(tmp_path / "tanh.json")
+        argv = [str(tmp_path / "tanh.json"), *argv]
+    out = tmp_path / "run"
+    assert main(["simulate", *argv, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
 def test_simulate_with_a_system_file_and_gen_exits_2_naming_both(tmp_path, capsys):
     # the file does not exist: the conflict is found before anything is read
     code = main(["simulate", "/nonexistent/system.json", "--gen", "stratified",
@@ -1042,6 +1075,33 @@ def test_analyze_on_every_cpu_matches_a_one_cpu_run(tmp_path):
         runs.append((stdout, out_hashes(out / "construct"), out_hashes(out / "analyze")))
     assert runs[0] == runs[1]
     assert list(runs[0][2]) == ["equilibria.json"]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_wide_analyze_on_every_cpu_matches_a_one_cpu_run(tmp_path, openblas):
+    # at n = 200 the Newton solves' products sum 200 terms, which OpenBLAS
+    # blocks differently on one thread and on more; every range runs them
+    # on one thread, so the bytes do not depend on the CPU count
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def run(argv, preexec_fn):
+        done = subprocess.run([sys.executable, "-m", "attrakit.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=300,
+                              preexec_fn=preexec_fn)
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        return done.stdout
+
+    system = tmp_path / "construct" / "system.json"
+    run(["construct", "--p", "120", "--z", "80", "--m", "3", "--seed", "7",
+         "--out-dir", str(system.parent)], None)
+    runs = []
+    for preexec_fn in (None, pin_to_one_cpu):
+        out = tmp_path / ("one" if preexec_fn else "every")
+        stdout = run(["analyze", str(system), "--box", "-5", "5", "--starts", "32",
+                      "--seed", "7", "--out-dir", str(out)], preexec_fn)
+        runs.append((stdout, out_hashes(out)))
+    assert runs[0] == runs[1]
+    assert list(runs[0][1]) == ["equilibria.json"]
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")

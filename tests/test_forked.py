@@ -14,6 +14,12 @@ import pytest
 from attrakit import _forked
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so that a Child forks on a one-CPU machine too."""
+    monkeypatch.setattr(_forked, "usable_cpus", lambda: 2)
+
+
 def test_usable_cpus_is_one_without_an_affinity_call(monkeypatch):
     assert _forked.usable_cpus() == len(os.sched_getaffinity(0))
     monkeypatch.delattr(os, "sched_getaffinity")
@@ -62,13 +68,15 @@ def run_into(tmp_path, sink, work, cuts):
 
 @pytest.mark.parametrize("cuts", [[0, 4, 9], [0, 3, 7, 12], [0, 5, 5, 9], [0, 0, 6]])
 @pytest.mark.parametrize("sink", ["bytesio", "file"])
-def test_run_in_ranges_joins_the_parts_in_range_order(tmp_path, forks, sink, cuts):
+def test_run_in_ranges_joins_the_parts_in_range_order(tmp_path, forks, two_cpus, sink,
+                                                      cuts):
     assert run_into(tmp_path, sink, write_range, cuts) == serial(cuts[-1])
     assert len(forks) == len(cuts) - 2
 
 
 @pytest.mark.parametrize("sink", ["bytesio", "file"])
-def test_run_in_ranges_runs_a_failed_range_again_here_in_its_place(tmp_path, forks, sink):
+def test_run_in_ranges_runs_a_failed_range_again_here_in_its_place(tmp_path, forks, two_cpus,
+                                                                   sink):
     parent = os.getpid()
     ran_here = []
 
@@ -94,7 +102,7 @@ def test_run_in_ranges_with_one_range_forks_nothing(tmp_path, forks):
     assert pids == [os.getpid()]
 
 
-def test_run_in_ranges_reaps_every_child_when_its_own_range_fails(tmp_path, forks):
+def test_run_in_ranges_reaps_every_child_when_its_own_range_fails(tmp_path, forks, two_cpus):
     parent = os.getpid()
 
     def work(lo, hi, out):
@@ -119,12 +127,25 @@ def test_os_fork_has_one_call_site_under_src():
     assert sites == ["attrakit/_forked.py"]
 
 
+def test_only_forked_checks_the_cpus_or_a_broken_pipe():
+    # the fork policy, and what a child that is gone means, live in one module
+    sites = set()
+    package = Path(_forked.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "attr", getattr(node, "id", None))
+            if name in ("usable_cpus", "BrokenPipeError"):
+                sites.add((path.relative_to(package.parent).as_posix(), name))
+    assert sites == {("attrakit/_forked.py", "usable_cpus"),
+                     ("attrakit/_forked.py", "BrokenPipeError")}
+
+
 def read_all(src, out):
     while data := src.read(3):
         out.write(data.upper())
 
 
-def test_fed_child_formats_what_it_is_sent_until_the_join(tmp_path, forks):
+def test_fed_child_formats_what_it_is_sent_until_the_join(tmp_path, forks, two_cpus):
     sink = io.BytesIO()
     with _forked.Child(read_all, tmp_path, fed=True) as child:
         for chunk in (b"abc", b"defg", b"h"):
@@ -137,7 +158,7 @@ def test_fed_child_formats_what_it_is_sent_until_the_join(tmp_path, forks):
     assert os.listdir(tmp_path) == [] and _forked._feeds == set()
 
 
-def test_fed_child_reads_eof_while_a_later_child_is_alive(tmp_path, forks):
+def test_fed_child_reads_eof_while_a_later_child_is_alive(tmp_path, forks, two_cpus):
     # the later child closes the first one's feed too, or the first would
     # wait for it forever and the join would hang
     def alarm(signum, frame):
@@ -159,7 +180,7 @@ def test_fed_child_reads_eof_while_a_later_child_is_alive(tmp_path, forks):
     assert len(forks) == 2
 
 
-def test_child_that_fails_is_reaped_and_its_part_not_copied(tmp_path, forks):
+def test_child_that_fails_is_reaped_and_its_part_not_copied(tmp_path, forks, two_cpus):
     def fail(src, out):
         out.write(b"partial")
         out.flush()
@@ -187,7 +208,7 @@ def open_fds():
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
 @pytest.mark.parametrize("sink", ["bytesio", "file"])
 def test_run_in_ranges_runs_a_range_that_cannot_fork_here_in_its_place(tmp_path, monkeypatch,
-                                                                        sink):
+                                                                        two_cpus, sink):
     monkeypatch.setattr(os, "fork", cannot_fork)
     ran_here = []
 
@@ -201,7 +222,8 @@ def test_run_in_ranges_runs_a_range_that_cannot_fork_here_in_its_place(tmp_path,
 
 
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
-def test_fed_child_that_cannot_fork_has_no_feed_and_a_join_that_fails(tmp_path, monkeypatch):
+def test_fed_child_that_cannot_fork_has_no_feed_and_a_join_that_fails(tmp_path, monkeypatch,
+                                                                       two_cpus):
     monkeypatch.setattr(os, "fork", cannot_fork)
     fds = open_fds()
     sink = io.BytesIO()
@@ -210,6 +232,52 @@ def test_fed_child_that_cannot_fork_has_no_feed_and_a_join_that_fails(tmp_path, 
         assert not child.join(sink)
     assert sink.getvalue() == b""
     assert os.listdir(tmp_path) == [] and open_fds() == fds
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+def test_child_on_one_cpu_forks_nothing_and_opens_nothing(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(_forked, "usable_cpus", lambda: 1)
+    fds = open_fds()
+    sink = io.BytesIO()
+    with _forked.Child(read_all, tmp_path, fed=True) as child:
+        assert open_fds() == fds
+        assert child.feed is None and _forked._feeds == set()
+        assert child.send(b"abc") is False
+        assert child.join(sink) is False
+    assert forks == [] and sink.getvalue() == b""
+    assert os.listdir(tmp_path) == [] and open_fds() == fds
+
+
+def test_send_to_a_child_that_has_exited_drops_its_feed(tmp_path, forks, two_cpus):
+    def fail(src, out):
+        raise RuntimeError("the child fails at once")
+    with _forked.Child(fail, tmp_path, fed=True) as child:
+        # once it has exited, left unreaped for the join
+        os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+        assert child.send(b"abc") is False
+        assert child.feed is None and _forked._feeds == set()
+        assert child.send(b"def") is False
+        assert not child.join(io.BytesIO())
+    assert len(forks) == 1
+
+
+def test_run_in_ranges_runs_every_range_on_one_blas_thread(tmp_path, forks, two_cpus, openblas):
+    get, set_ = openblas
+    set_(3)
+
+    def work(lo, hi, out):
+        out.write(b"%d:%d;" % (lo, get()))
+    out = io.BytesIO()
+    _forked.run_in_ranges(work, [0, 2, 4, 6], out, tmp_path)
+    assert out.getvalue() == b"0:1;2:1;4:1;"
+    assert len(forks) == 2 and get() == 3
+
+    def fail_here(lo, hi, out):
+        work(lo, hi, out)
+        raise RuntimeError("the first range fails")
+    with pytest.raises(RuntimeError, match="the first range fails"):
+        _forked.run_in_ranges(fail_here, [0, 2], io.BytesIO(), tmp_path)
+    assert get() == 3
 
 
 def threads_after_import(modules):
@@ -269,7 +337,7 @@ def test_a_product_within_the_bounds_has_the_bits_of_any_thread_count(openblas, 
     assert products[0::2] == [products[0]] * 3 and products[1::2] == [products[1]] * 3
 
 
-def test_fed_child_feed_holds_a_mebibyte_where_the_kernel_allows(tmp_path, forks):
+def test_fed_child_feed_holds_a_mebibyte_where_the_kernel_allows(tmp_path, forks, two_cpus):
     fcntl = pytest.importorskip("fcntl")
     src, feed = os.pipe()
     try:
@@ -290,6 +358,7 @@ def test_attrakit_imports_and_feeds_a_child_without_fcntl():
             "sys.modules['fcntl'] = None\n"
             "import attrakit.cli\n"
             "from attrakit import _forked\n"
+            "_forked.usable_cpus = lambda: 2\n"
             "def upper(src, out):\n"
             "    out.write(src.read().upper())\n"
             "with _forked.Child(upper, fed=True) as child:\n"

@@ -446,6 +446,16 @@ def test_stratification_spectra_match_per_sample_reference(dims, activation):
     assert_matches_per_sample_reference(net, X, stats[0].singular_values, stats[0].cvs)
 
 
+def test_stratification_spectra_in_blocks_are_the_bits_of_one_stack():
+    # the study takes its spectra a block of rows at a time
+    net = TinyNet.init([12, 128, 64, 3], seed=41)
+    X = np.random.default_rng(42).uniform(0.0, 1.0, (2 * probe._BLOCK_ROWS + 5, 12))
+    stats = stratification_study(net, {"g": X}, samples_per_group=X.shape[0])
+    svs, cvs = _logit_spectra(net, X)
+    assert stats[0].cvs.tobytes() == cvs.tobytes()
+    assert np.array(stats[0].singular_values).tobytes() == svs.tobytes()
+
+
 def test_stratification_dead_hidden_units_give_zero_spectrum_and_cv():
     net = TinyNet.init([4, 5, 3], seed=25)
     net.biases[0][:] = -100.0  # every hidden unit is off for inputs in [0, 1]
@@ -875,7 +885,7 @@ def test_loss_and_gradients_match_the_per_layer_reference():
             assert np.array_equal(got, ref)
 
 
-@pytest.mark.parametrize("size", [1, 255, 256, 257, 3000])
+@pytest.mark.parametrize("size", [1, 63, 64, 65, 255, 256, 257, 3000])
 def test_accuracy_in_blocks_equals_the_whole_batch_mean(size):
     blobs = synth_blobs(C=3, d=12, per_class=1000, separation=2.0, seed=37)
     rows = np.random.default_rng(size).permutation(blobs.size)[:size]
