@@ -276,8 +276,8 @@ def cmd_simulate(args):
         steps_flags = f"--t-end {args.t_end:g} --dt {args.dt:g}"
         try:
             last_step = _rk4_steps(args.t_end, args.dt)
-        except OverflowError:
-            raise ValueError(f"{steps_flags}: more steps than can be counted") from None
+        except ValueError as exc:
+            raise ValueError(f"{steps_flags}: {exc}") from None
     if snapshots and snapshots[-1] > last_step:
         raise ValueError(f"snapshot step {snapshots[-1]} outside trajectory "
                          f"(last step {last_step})")
@@ -291,7 +291,8 @@ def cmd_simulate(args):
                 traj = iterate_map(sys_obj, x0, args.steps, on_block=stepped.on_block)
             else:
                 traj = integrate_rk4(sys_obj, x0, args.t_end, args.dt, on_block=stepped.on_block)
-        except MemoryError as exc:
+        # the other inputs are checked above: numpy cannot size or allocate so many steps
+        except (MemoryError, ValueError) as exc:
             raise ValueError(f"{steps_flags}: {exc}") from None
         report = slow_fast_report(traj, theta=args.theta, eps_conv=args.eps_conv)
 

@@ -47,7 +47,6 @@ MARGINAL = "marginal"
 UNSTABLE = "unstable"
 
 DEFAULT_RESIDUAL_TOL = 1e-10
-DEFAULT_ETA = 1e-6
 
 # Levenberg-Marquardt damping and stop rules of _newton_refine
 _LM_MU_START = 1e-3
@@ -145,32 +144,28 @@ class DependenceVerdict:
     magnitude: float = 0.0
 
 
-def _classify_stability(sys, residual_eigs, eta):
-    """Stability class plus count of boundary-grazing eigenvalues.
-
-    Continuous forms look at real parts against 0; the discrete map looks
-    at |eigenvalue| of the step map (residual eigenvalues shifted by +1)
-    against 1.
-    """
-    if sys.form is SystemForm.discrete_map:
-        mags = np.abs(residual_eigs + 1.0)
-        beyond = mags > 1.0 + eta
-        near = np.abs(mags - 1.0) <= eta
-    else:
-        re = residual_eigs.real
-        beyond = re > eta
-        near = np.abs(re) <= eta
-    if np.any(beyond):
-        return UNSTABLE, int(np.count_nonzero(near))
-    if np.any(near):
-        return MARGINAL, int(np.count_nonzero(near))
-    return STABLE, 0
+def _boundary_masks(sys, spectrum_report):
+    """(beyond, near): the eigenvalues past the stability boundary and within
+    tol_used times the largest singular value of it, the band the numerical
+    rank cuts at. Continuous forms test real parts against 0; the discrete
+    map tests |eigenvalue + 1|, the step map's modulus, against 1."""
+    band = spectrum_report.tol_used * spectrum_report.singular_values[0]
+    eigs = spectrum_report.eigenvalues
+    past = np.abs(eigs + 1.0) - 1.0 if sys.form is SystemForm.discrete_map else eigs.real
+    return past > band, np.abs(past) <= band
 
 
-def _build_report(sys, F, DF, x, rel_tol, eta):
+def _classify_stability(sys, spectrum_report):
+    """Stability class plus count of boundary-grazing eigenvalues (see _boundary_masks)."""
+    beyond, near = _boundary_masks(sys, spectrum_report)
+    count = int(np.count_nonzero(near))
+    return (UNSTABLE if np.any(beyond) else MARGINAL if count else STABLE), count
+
+
+def _build_report(sys, F, DF, x, rel_tol):
     res = float(np.linalg.norm(F(x)))
     spectrum_report = svd_spectrum(DF(x), rel_tol=rel_tol)
-    stability, marginal_count = _classify_stability(sys, spectrum_report.eigenvalues, eta)
+    stability, marginal_count = _classify_stability(sys, spectrum_report)
     x = np.array(x, dtype=float)
     x.setflags(write=False)
     return EquilibriumReport(
@@ -272,7 +267,6 @@ def find_equilibria(
     *,
     tol: float = DEFAULT_RESIDUAL_TOL,
     rel_tol: float = DEFAULT_RANK_TOL,
-    eta: float = DEFAULT_ETA,
 ) -> list[EquilibriumReport]:
     """Multi-start Levenberg-Marquardt search for equilibria inside a box.
 
@@ -296,7 +290,7 @@ def find_equilibria(
         if all(np.linalg.norm(x - y) >= limit for y in kept):
             kept.append(x)
 
-    return [_build_report(sys, F, DF, x, rel_tol, eta) for x in kept]
+    return [_build_report(sys, F, DF, x, rel_tol) for x in kept]
 
 
 def attractor_dimension(sys: DynamicalSystem, x_star, rel_tol: float = DEFAULT_RANK_TOL) -> int:

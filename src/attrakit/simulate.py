@@ -168,7 +168,10 @@ def _filled_by(states, times, speeds, kind) -> Trajectory:
 
 def _rk4_steps(t_end: float, h: float) -> int:
     """Number of RK4 steps integrate_rk4 takes from 0 to t_end with step about h."""
-    return max(1, int(round(t_end / h)))
+    ratio = t_end / h
+    if ratio == math.inf:
+        raise ValueError("more steps than can be counted")
+    return max(1, int(round(ratio)))
 
 
 def integrate_rk4(sys: DynamicalSystem, x0, t_end: float, h: float,

@@ -509,6 +509,10 @@ def test_out_dir_that_cannot_be_made_exits_2_naming_the_flag(tmp_path, capsys, b
     # 2 PiB of states, more than any address space holds
     (["--gen", "stratified", "--steps", "100000000000000"],
      "--steps 100000000000000: Unable to allocate"),
+    # counts numpy cannot size an array for
+    (["--t-end", "1e10", "--dt", "1e-10"], "--t-end 1e+10 --dt 1e-10: "),
+    (["--gen", "stratified", "--steps", "100000000000000000000"],
+     "--steps 100000000000000000000: "),
 ])
 def test_simulate_with_too_many_steps_exits_2_naming_the_flags(tmp_path, capsys, argv, message):
     if "--t-end" in argv:
@@ -769,6 +773,26 @@ def test_analyze_takes_rank_tol():
     parser = build_parser()
     assert parser.parse_args(["analyze", "system.json"]).rank_tol == 1e-8
     assert parser.parse_args(["analyze", "system.json", "--rank-tol", "1e-3"]).rank_tol == 1e-3
+
+
+@pytest.mark.parametrize("rank_tol, row", [
+    ([], (2, 0, "stable", 0)),
+    (["--rank-tol", "1e-3"], (1, 1, "marginal", 1)),
+])
+def test_rank_tol_moves_the_rank_and_the_marginal_band_together(tmp_path, capsys, rank_tol, row):
+    # J = diag(-1, -1e-4) everywhere: the slow mode is under a cut of 1e-3
+    # times s_max = 1 for the rank and for the stability boundary alike
+    system_path = tmp_path / "slow.json"
+    save_system(make_system(W=np.diag([0.0, 1.0 - 1e-4]), A=np.eye(2), b=np.zeros(2),
+                            activation=Activation.identity, form=SystemForm.post_activation),
+                system_path)
+    out = tmp_path / "run"
+    assert main(["analyze", str(system_path), "--box", "-1", "1", "--starts", "4",
+                 *rank_tol, "--out-dir", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "1 equilibria in box [-1.0, 1.0]^2"
+    _, _, rank, dim, stability, grazing = lines[2].split()[:6]
+    assert (int(rank), int(dim), stability, int(grazing)) == row
 
 
 def test_import_loads_no_scipy():

@@ -1,3 +1,4 @@
+import functools
 import os
 import warnings
 
@@ -522,11 +523,16 @@ def test_search_raises_the_error_of_one_range(monkeypatch, forks, cpus):
     assert len(forks) == cpus - 1
 
 
-@pytest.fixture(scope="module", params=[15, 45, 601])
-def constructed_search(request):
+@functools.cache
+def searched_instance(seed):
     """A constructed n = 40, m = 3 instance and the points a 256-start search keeps."""
-    ca = construct_relu_attractor(24, 16, 3, seed=request.param)
-    return ca, find_equilibria(ca.sys, (-5.0, 5.0), 256, request.param)
+    ca = construct_relu_attractor(24, 16, 3, seed=seed)
+    return ca, find_equilibria(ca.sys, (-5.0, 5.0), 256, seed)
+
+
+@pytest.fixture(params=[15, 45, 601])
+def constructed_search(request):
+    return searched_instance(request.param)
 
 
 def test_null_vectors_at_on_set_points_lie_in_the_constructed_set(constructed_search):
@@ -546,9 +552,36 @@ def test_null_vectors_at_on_set_points_lie_in_the_constructed_set(constructed_se
         assert np.linalg.norm(null - span @ (span.T @ null), 2) <= 1e-10
 
 
-def test_marginal_count_equals_attractor_dim_at_every_kept_point(constructed_search):
+@pytest.mark.parametrize("case", [15, 45, 601, "tanh2"])
+def test_marginal_count_equals_attractor_dim_at_every_kept_point(case):
     # the eigenvalues near the stability boundary and the singular values
-    # under the rank cut count the same directions, on the set and off it
-    _, reports = constructed_search
-    assert len(reports) >= 10
+    # under the rank cut count the same directions, on the set and off it.
+    # tanh2 is tanh(x) - x on the plane: its one equilibrium 0 is isolated,
+    # yet the search keeps a cloud of points near it where J is about
+    # -1.4e-7 I, above the rank cut; only the link is pinned there, not the
+    # cloud, which a stricter convergence test would remove
+    if case == "tanh2":
+        sys2 = make_system(W=np.eye(2), A=np.eye(2), b=np.zeros(2),
+                           activation=Activation.tanh, form=SystemForm.pre_activation)
+        reports = find_equilibria(sys2, (-1.0, 1.0), 32, 0)
+    else:
+        _, reports = searched_instance(case)
+        assert len(reports) >= 10
     assert [r.marginal_count for r in reports] == [r.attractor_dim for r in reports]
+
+
+def test_nilpotent_jacobian_grazes_with_both_rounded_eigenvalues():
+    # J = Q N Q^T with N = [[0, 1], [0, 0]]: nullity 1, so a line of
+    # equilibria of dim 1, but a double zero eigenvalue. Rounding splits a
+    # Jordan block's eigenvalues by about sqrt(eps) * s_max, here to
+    # +-1.33e-9, which is still inside the band of 1e-8 * s_max. Equality
+    # of marginal_count with dim is not expected here, because the
+    # algebraic multiplicity is 2.
+    Q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((2, 2)))
+    W = np.eye(2) + Q @ np.array([[0.0, 1.0], [0.0, 0.0]]) @ Q.T
+    sys2 = make_system(W=W, A=np.eye(2), b=np.zeros(2),
+                       activation=Activation.identity, form=SystemForm.post_activation)
+    reports = find_equilibria(sys2, (-1.0, 1.0), 4, 0)
+    assert reports
+    for r in reports:
+        assert (r.stability, r.marginal_count, r.attractor_dim) == (MARGINAL, 2, 1)

@@ -282,6 +282,12 @@ def test_integrate_rk4_rejects_scalar_x0():
         integrate_rk4(sys3, 0.5, t_end=1.0, h=0.1)
 
 
+def test_integrate_rk4_with_more_steps_than_can_be_counted_is_a_value_error():
+    # t_end / h overflows to inf, which has no integer step count
+    with pytest.raises(ValueError, match="^more steps than can be counted$"):
+        integrate_rk4(decay_field(), [1.0], t_end=1e300, h=1e-300)
+
+
 @pytest.mark.parametrize("x0", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2, 0.3]]])
 def test_stepping_rejects_wrong_shape_x0(x0):
     with pytest.raises(ValueError, match="state has shape"):
