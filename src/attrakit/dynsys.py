@@ -20,7 +20,8 @@ __all__ = [
     "make_system",
     "eval_field",
     "bound_field",
-    "bound_jacobian",
+    "stacked_field",
+    "stacked_jacobian",
     "jacobian_analytic",
     "jacobian_fd",
     "system_to_dict",
@@ -149,23 +150,51 @@ def bound_field(sys: DynamicalSystem):
     return lambda x: act(W_dot(x) + b) - A_dot(x)
 
 
-def bound_jacobian(sys: DynamicalSystem):
-    """jacobian_analytic with sys bound once and no KinkWarning."""
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (k, n) stack, with np.linalg.norm's
+    bits on that row (np.linalg.norm(axis=1) rounds differently)."""
+    return np.sqrt(np.vecdot(rows, rows))
+
+
+def _gemv(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M times each row of the (k, n) stack X, as one stacked matmul.
+
+    numpy runs one gemv per row here, so each row has the bits of M.dot(x)
+    for n >= 2; a gemm such as X @ M.T rounds differently.
+    """
+    return np.matmul(M, X[:, :, None])[:, :, 0]
+
+
+def stacked_field(sys: DynamicalSystem):
+    """bound_field over a (k, n) stack of states, one row per state."""
+    act = _VALUE[sys.activation]
+    W, A, b = sys.W, sys.A, sys.b
+    if sys.form is SystemForm.post_activation:
+        return lambda X: -X + _gemv(W, act(X)) + b
+    return lambda X: act(_gemv(W, X) + b) - _gemv(A, X)
+
+
+def stacked_jacobian(sys: DynamicalSystem):
+    """jacobian_analytic over a (k, n) stack of states, a (k, n, n) stack, no KinkWarning."""
     deriv = _DERIV[sys.activation]
     W, A, b = sys.W, sys.A, sys.b
     if sys.form is SystemForm.post_activation:
         eye = np.eye(sys.n)
-        return lambda x: W * deriv(x) - eye
-    return lambda x: deriv(W @ x + b)[:, None] * W - A
+        return lambda X: W * deriv(X)[:, None, :] - eye
+    return lambda X: deriv(_gemv(W, X) + b)[:, :, None] * W - A
 
 
-def _warn_on_kink(sys: DynamicalSystem, x: np.ndarray) -> None:
-    """Warn the caller of a public Jacobian function when x sits on a relu kink."""
+def _warn_on_kink(sys: DynamicalSystem, X: np.ndarray, stacklevel: int = 3) -> None:
+    """Warn once for each state of the (k, n) stack X that sits on a relu kink.
+
+    stacklevel is warnings.warn's, counted from here: the default names the
+    caller of the public Jacobian function that calls this one.
+    """
     if sys.activation is Activation.relu:
-        arg = x if sys.form is SystemForm.post_activation else sys.W @ x + sys.b
-        if np.any(arg == 0.0):
+        arg = X if sys.form is SystemForm.post_activation else _gemv(sys.W, X) + sys.b
+        for _ in range(np.count_nonzero(np.any(arg == 0.0, axis=1))):
             warnings.warn("relu kink hit exactly; derivative 0 used at the kink",
-                          KinkWarning, stacklevel=3)
+                          KinkWarning, stacklevel=stacklevel)
 
 
 def jacobian_analytic(sys: DynamicalSystem, x) -> np.ndarray:
@@ -174,9 +203,9 @@ def jacobian_analytic(sys: DynamicalSystem, x) -> np.ndarray:
     Emits a KinkWarning (and applies the derivative-0 convention) when a
     relu argument coordinate is exactly zero.
     """
-    x = _check_state(sys, x)
-    _warn_on_kink(sys, x)
-    return bound_jacobian(sys)(x)
+    X = _check_state(sys, x)[None]
+    _warn_on_kink(sys, X)
+    return stacked_jacobian(sys)(X)[0]
 
 
 def jacobian_fd(sys: DynamicalSystem, x, h: float | None = None) -> np.ndarray:

@@ -18,11 +18,18 @@ from .dynsys import (
     DynamicalSystem,
     SystemForm,
     _check_state,
+    _row_norms,
     _warn_on_kink,
-    bound_field,
-    bound_jacobian,
+    stacked_field,
+    stacked_jacobian,
 )
-from .spectral import DEFAULT_RANK_TOL, SpectrumReport, spectrum_to_dict, svd_spectrum
+from .spectral import (
+    DEFAULT_RANK_TOL,
+    SpectrumReport,
+    spectrum_to_dict,
+    svd_spectra,
+    svd_spectrum,
+)
 
 __all__ = [
     "STABLE",
@@ -48,7 +55,7 @@ UNSTABLE = "unstable"
 
 DEFAULT_RESIDUAL_TOL = 1e-10
 
-# Levenberg-Marquardt damping and stop rules of _newton_refine
+# Levenberg-Marquardt damping and stop rules of _lockstep_lm
 _LM_MU_START = 1e-3
 _LM_MU_FLOOR = 1e-12
 _LM_TRIES = 12
@@ -56,12 +63,22 @@ _LM_STALL_STEPS = 5
 _LM_STALL_GAIN = 0.1
 _LM_MAX_ITER = 100
 
+# why a start stopped, in the per-start table (see _lockstep_lm)
+_STOP_TOL, _STOP_TRIES, _STOP_STALL, _STOP_MAX_ITER = range(4)
+
+# starts refined in lockstep by _lockstep_lm, and points per stacked residual
+# and spectrum in the reports and in construct.verify_construction. 16 is
+# measured: 8 gave less of the gain, and 24 or 32 no more gain for a peak
+# RSS up to 0.3 MiB higher (CHANGES.md)
+_STACK = 16
+
 _EQUILIBRIUM_RESIDUAL_LIMIT = 1e-8  # attractor_dimension's bound on |F| at its point
 
 # find_equilibria gives each usable CPU a range of at least this many starts.
 # Forking and reaping a ~37 MiB process costs 2.3-3.6 ms and one n = 40 start
-# takes 1.0-1.4 ms to refine, so a forked range of 8 starts takes 8-11 ms of
-# refinement off this process for under 4 ms of process
+# takes 0.56-0.71 ms to refine in lockstep (one CPU, CLI seeds 21, 45, 601),
+# so a forked range of 8 starts takes 4.5-5.7 ms of refinement off this
+# process for under 4 ms of process
 _RANGE_MIN_STARTS = 8
 
 
@@ -80,24 +97,25 @@ class InconsistentWitnessError(ValueError):
 
 
 def _bound_residual(sys: DynamicalSystem):
-    """residual_vector and residual_jacobian with sys bound once, kinks silent."""
-    field, jac = bound_field(sys), bound_jacobian(sys)
+    """residual_vector and residual_jacobian over a (k, n) stack of states,
+    one row per state, with sys bound once and kinks silent."""
+    field, jac = stacked_field(sys), stacked_jacobian(sys)
     if sys.form is not SystemForm.discrete_map:
         return field, jac
     eye = np.eye(sys.n)
-    return (lambda x: field(x) - x), (lambda x: jac(x) - eye)
+    return (lambda X: field(X) - X), (lambda X: jac(X) - eye)
 
 
 def residual_vector(sys: DynamicalSystem, x) -> np.ndarray:
     """F(x) whose zeros are the system's equilibria/fixed points."""
-    return _bound_residual(sys)[0](_check_state(sys, x))
+    return _bound_residual(sys)[0](_check_state(sys, x)[None])[0]
 
 
 def residual_jacobian(sys: DynamicalSystem, x) -> np.ndarray:
     """Jacobian of residual_vector at x, with jacobian_analytic's KinkWarning."""
-    x = _check_state(sys, x)
-    _warn_on_kink(sys, x)
-    return _bound_residual(sys)[1](x)
+    X = _check_state(sys, x)[None]
+    _warn_on_kink(sys, X)
+    return _bound_residual(sys)[1](X)[0]
 
 
 @dataclass(frozen=True)
@@ -162,82 +180,163 @@ def _classify_stability(sys, spectrum_report):
     return (UNSTABLE if np.any(beyond) else MARGINAL if count else STABLE), count
 
 
-def _build_report(sys, F, DF, x, rel_tol):
-    res = float(np.linalg.norm(F(x)))
-    spectrum_report = svd_spectrum(DF(x), rel_tol=rel_tol)
-    stability, marginal_count = _classify_stability(sys, spectrum_report)
-    x = np.array(x, dtype=float)
-    x.setflags(write=False)
-    return EquilibriumReport(
-        point=x,
-        residual=res,
-        spectrum=spectrum_report,
-        attractor_dim=sys.n - spectrum_report.numerical_rank,
-        stability=stability,
-        marginal_count=marginal_count,
-    )
+def _build_reports(sys, F, DF, points, rel_tol) -> list[EquilibriumReport]:
+    """The report of each row of points, _STACK rows to a stacked residual and spectrum."""
+    reports = []
+    for lo in range(0, len(points), _STACK):
+        block = points[lo:lo + _STACK]
+        residuals = _row_norms(F(block))
+        spectra = svd_spectra(DF(block), rel_tol)
+        for x, res, spectrum_report in zip(block, residuals, spectra):
+            stability, marginal_count = _classify_stability(sys, spectrum_report)
+            x = x.copy()
+            x.setflags(write=False)
+            reports.append(EquilibriumReport(
+                point=x,
+                residual=float(res),
+                spectrum=spectrum_report,
+                attractor_dim=sys.n - spectrum_report.numerical_rank,
+                stability=stability,
+                marginal_count=marginal_count,
+            ))
+    return reports
 
 
-def _newton_refine(F, DF, x0, tol):
-    """Levenberg-Marquardt on the residual map F, with Jacobian DF, from one start.
+def _lockstep_lm(F, DF, starts, tol) -> np.ndarray:
+    """Levenberg-Marquardt on the stacked residual map F, with Jacobian DF, from each start.
 
     Each iteration solves (J^T J + mu I) step = -J^T r at most _LM_TRIES
     times, raising mu tenfold after a step that does not lower |F| and
     lowering it tenfold, to at least _LM_MU_FLOOR, after one that does.
     The damping keeps the system nonsingular, so a rank-deficient Jacobian
     near a continuum of equilibria needs no special case. A start stops
-    once |F| <= tol / 10, after _LM_TRIES rejected steps in a row, when its
-    last _LM_STALL_STEPS accepted steps lowered |F| by less than
-    _LM_STALL_GAIN in total (Moré 1978), or after _LM_MAX_ITER iterations.
-    Returns (x, converged), converged meaning |F| <= tol.
+    once |F| <= tol / 10 (_STOP_TOL), after _LM_TRIES rejected steps in a
+    row (_STOP_TRIES), when its last _LM_STALL_STEPS accepted steps lowered
+    |F| by less than _LM_STALL_GAIN in total (_STOP_STALL; Moré 1978), or
+    after _LM_MAX_ITER iterations (_STOP_MAX_ITER).
+
+    Up to _STACK starts are refined at once, each in a slot with its own
+    mu, tries, iteration count and ring of its last accepted norms. A round
+    makes one stacked solve over the slots, one stacked residual of their
+    trial points, and one stacked Jacobian for the slots that accepted a
+    step and go on. Slots that stop are freed, the others packed to the
+    front, and the free ones refilled from the next starts. Each kernel
+    gives a slot the bits of its own one-start call, so the result does not
+    depend on _STACK.
+
+    Returns one row per start, in start order: the point it ends at, then
+    converged (1.0 when |F| <= tol, else 0.0), its iteration count (its
+    Jacobian evaluations), its stop reason, its final |F| and its final mu.
     """
-    x = np.array(x0, dtype=float)
-    eye = np.eye(x.shape[0])
-    r = F(x)
-    norms = [float(np.linalg.norm(r))]
-    mu = _LM_MU_START
-    for _ in range(_LM_MAX_ITER):
-        # a decade inside tol, so a start that converges has margin to spare
-        if norms[-1] <= 0.1 * tol:
-            break
-        J = DF(x)
-        g, JtJ = J.T @ r, J.T @ J
-        for _ in range(_LM_TRIES):
-            xn = x + np.linalg.solve(JtJ + mu * eye, -g)
-            r_new = F(xn)
-            rn_new = float(np.linalg.norm(r_new))
-            if rn_new < norms[-1]:
-                x, r = xn, r_new
-                norms.append(rn_new)
-                mu = max(0.1 * mu, _LM_MU_FLOOR)
-                break
-            mu *= 10.0
-        else:
-            break
-        if (len(norms) > _LM_STALL_STEPS
-                and norms[-1] > (1.0 - _LM_STALL_GAIN) * norms[-1 - _LM_STALL_STEPS]):
-            break
-    return x, norms[-1] <= tol
+    count, n = starts.shape
+    table = np.empty((count, n + 5))
+    cap = min(_STACK, count)
+    X, R, G = (np.zeros((cap, n)) for _ in range(3))
+    JtJ, A = np.zeros((cap, n, n)), np.zeros((cap, n, n))
+    diagonal = A.reshape(cap, n * n)[:, ::n + 1]
+    norm, mu = np.zeros(cap), np.zeros(cap)
+    # ring[i % (_LM_STALL_STEPS + 1)] holds |F| after the slot's i-th accepted step
+    ring = np.zeros((cap, _LM_STALL_STEPS + 1))
+    which, tries, iters, accepted = (np.zeros(cap, dtype=np.intp) for _ in range(4))
+    slots = (X, R, G, JtJ, norm, mu, ring, which, tries, iters, accepted)
+
+    def record(at, x, r, its, why, m):
+        table[at, :n] = x
+        table[at, n] = r <= tol
+        table[at, n + 1] = its
+        table[at, n + 2] = why
+        table[at, n + 3] = r
+        table[at, n + 4] = m
+
+    active = loaded = 0
+    go = np.zeros(0, dtype=np.intp)  # the slots that start an iteration
+    while True:
+        while active < cap and loaded < count:
+            at = np.arange(loaded, min(count, loaded + cap - active))
+            loaded += len(at)
+            X0 = starts[at]
+            R0 = F(X0)
+            r0 = _row_norms(R0)
+            # a decade inside tol, so a start that converges has margin to spare
+            near = r0 <= 0.1 * tol
+            record(at[near], X0[near], r0[near], 0, _STOP_TOL, _LM_MU_START)
+            new = np.arange(active, active + np.count_nonzero(~near))
+            which[new], X[new], R[new] = at[~near], X0[~near], R0[~near]
+            norm[new] = ring[new, 0] = r0[~near]
+            mu[new] = _LM_MU_START
+            tries[new] = iters[new] = accepted[new] = 0
+            go = np.concatenate([go, new])
+            active += len(new)
+        if not active:
+            return table
+
+        if len(go):
+            J = DF(X[go])
+            Jt = J.transpose(0, 2, 1)
+            G[go] = np.matmul(Jt, R[go][:, :, None])[:, :, 0]
+            JtJ[go] = np.matmul(Jt, J)
+            iters[go] += 1
+
+        # J^T J + mu I, with the bits of the sum with mu * eye for a finite
+        # mu: adding its +0 turns an off-diagonal -0 into +0, and mu * 1 is mu
+        a = slice(0, active)
+        np.add(JtJ[a], 0.0, out=A[a])
+        diagonal[a] += mu[a, None]
+        trial = X[a] + np.linalg.solve(A[a], -G[a, :, None])[:, :, 0]
+        R_trial = F(trial)
+        norm_trial = _row_norms(R_trial)
+        better = norm_trial < norm[a]
+        go, worse = np.flatnonzero(better), np.flatnonzero(~better)
+        X[go], R[go], norm[go] = trial[go], R_trial[go], norm_trial[go]
+        accepted[go] += 1
+        ring[go, accepted[go] % (_LM_STALL_STEPS + 1)] = norm[go]
+        mu[go] = np.maximum(0.1 * mu[go], _LM_MU_FLOOR)
+        tries[go] = 0
+        mu[worse] *= 10.0
+        tries[worse] += 1
+
+        stop = np.full(active, -1)
+        stop[worse[tries[worse] == _LM_TRIES]] = _STOP_TRIES
+        back = ring[go, (accepted[go] - _LM_STALL_STEPS) % (_LM_STALL_STEPS + 1)]
+        stall = (accepted[go] >= _LM_STALL_STEPS) & (norm[go] > (1.0 - _LM_STALL_GAIN) * back)
+        stop[go[stall]] = _STOP_STALL
+        go = go[~stall]
+        last = iters[go] == _LM_MAX_ITER
+        stop[go[last]] = _STOP_MAX_ITER
+        go = go[~last]
+        near = norm[go] <= 0.1 * tol
+        stop[go[near]] = _STOP_TOL
+        go = go[~near]
+
+        done = np.flatnonzero(stop >= 0)
+        if len(done):
+            record(which[done], X[done], norm[done], iters[done], stop[done], mu[done])
+            keep = np.flatnonzero(stop < 0)
+            active = len(keep)
+            # the slots that go on past the new end fill the holes before it
+            holes, movers = done[done < active], keep[keep >= active]
+            for arr in slots:
+                arr[holes] = arr[movers]
+            place = np.arange(len(stop))
+            place[movers] = holes
+            go = place[go]
 
 
-def _converged_points(F, DF, starts, tol) -> list[np.ndarray]:
-    """The points of the starts that _newton_refine converges, in start order.
+def _start_table(sys: DynamicalSystem, starts, tol) -> np.ndarray:
+    """The _lockstep_lm row of each start, in start order.
 
     The starts are cut into one contiguous range per usable CPU, each of at
     least _RANGE_MIN_STARTS starts, and forked processes refine every range
-    after the first (see _forked.run_in_ranges); each range gives one
-    float64 row (x, converged) per start.
+    after the first (see _forked.run_in_ranges).
     """
+    F, DF = _bound_residual(sys)
+
     def refine(lo, hi, out):
-        for x0 in starts[lo:hi]:
-            x, ok = _newton_refine(F, DF, x0, tol)
-            out.write(np.append(x, float(ok)).tobytes())
+        out.write(_lockstep_lm(F, DF, starts[lo:hi], tol).tobytes())
 
     rows = io.BytesIO()
     _forked.run_in_ranges(refine, _forked.range_cuts(len(starts), _RANGE_MIN_STARTS), rows)
-    table = np.frombuffer(rows.getvalue()).reshape(len(starts), -1)
-    # copies, so the table is freed before the reports are built
-    return [row[:-1].copy() for row in table if row[-1]]
+    return np.frombuffer(rows.getvalue()).reshape(len(starts), -1)
 
 
 def _as_box(box, n):
@@ -270,27 +369,35 @@ def find_equilibria(
 ) -> list[EquilibriumReport]:
     """Multi-start Levenberg-Marquardt search for equilibria inside a box.
 
-    Each start is refined by _newton_refine and kept if it reaches
-    |F| <= tol. Starts are drawn uniformly from the box by numpy's
-    Generator seeded with `seed`, so the result is deterministic for a
-    given seed. Converged points are sorted lexicographically and then
-    deduplicated (distance below 1e-6 * (1 + |x|)), which makes the output
-    independent of start order. On Linux the starts are refined in one
-    forked process per usable CPU, with the same result as in one process.
+    Each start is refined by Levenberg-Marquardt (see _lockstep_lm) and
+    kept if it reaches |F| <= tol. Starts are drawn uniformly from the box
+    by numpy's Generator seeded with `seed`, so the result is deterministic
+    for a given seed. Converged points are sorted lexicographically and
+    then deduplicated (distance below 1e-6 * (1 + |x|)), which makes the
+    output independent of start order. The starts are refined _STACK at a
+    time in lockstep, and on Linux in one forked process per usable CPU;
+    each kernel gives every start the bits of its own one-start call, so
+    the result is the same on any CPU count. The reports are built _STACK
+    points at a time, with one stacked SVD and eigvals per block.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
     starts = _uniform_in_box(_as_box(box, sys.n), n_starts, seed)
-    # kinks crossed mid-iteration are expected; DF applies the convention silently
-    F, DF = _bound_residual(sys)
-    converged = sorted(_converged_points(F, DF, starts, tol), key=tuple)
-    kept: list[np.ndarray] = []
+    table = _start_table(sys, starts, tol)
+    converged = table[table[:, sys.n] == 1.0, :sys.n]
+    del table
+    converged = converged[sorted(range(len(converged)), key=lambda i: tuple(converged[i]))]
+    kept = np.empty_like(converged)
+    count = 0
     for x in converged:
         limit = 1e-6 * (1.0 + float(np.linalg.norm(x)))
-        if all(np.linalg.norm(x - y) >= limit for y in kept):
-            kept.append(x)
+        if np.all(_row_norms(kept[:count] - x) >= limit):
+            kept[count] = x
+            count += 1
 
-    return [_build_report(sys, F, DF, x, rel_tol) for x in kept]
+    # kinks crossed mid-search are expected; DF applies the convention silently
+    F, DF = _bound_residual(sys)
+    return _build_reports(sys, F, DF, kept[:count], rel_tol)
 
 
 def attractor_dimension(sys: DynamicalSystem, x_star, rel_tol: float = DEFAULT_RANK_TOL) -> int:

@@ -22,6 +22,7 @@ from .dynsys import (
     DynamicalSystem,
     SystemForm,
     _check_state,
+    _row_norms,
     bound_field,
     open_replacing,
 )
@@ -107,11 +108,6 @@ class SlowFastReport:
 def _norm(v: np.ndarray) -> float:
     # what np.linalg.norm computes for a 1-D float vector, without its dispatch
     return math.sqrt(v.dot(v))
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    # _norm of each row, bit for bit (np.linalg.norm(axis=1) is not)
-    return np.sqrt(np.vecdot(rows, rows))
 
 
 def _check_block(states: np.ndarray, lo: int, hi: int) -> None:

@@ -11,6 +11,7 @@ __all__ = [
     "UndefinedMetricError",
     "svd_factors",
     "svd_spectrum",
+    "svd_spectra",
     "eig_spectrum",
     "numerical_rank",
     "cv_metric",
@@ -63,20 +64,35 @@ def svd_factors(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def svd_spectrum(M, rel_tol: float = DEFAULT_RANK_TOL) -> SpectrumReport:
     """SpectrumReport of a (possibly rectangular) matrix."""
-    M = _as_finite_matrix(M)
-    # a stack of one matrix, so its statistics are the row ones every caller shares
-    s = np.linalg.svd(M[None], compute_uv=False)
-    eig = None
-    if M.shape[0] == M.shape[1]:
-        eig = np.linalg.eigvals(M)
-    return SpectrumReport(
-        singular_values=s[0],
-        cv=float(_row_cv(s)[0]),
-        max_gap_ratio=float(_row_gap(s)[0]),
-        numerical_rank=int(_row_rank(s, rel_tol)[0]),
+    return svd_spectra(_as_finite_matrix(M)[None], rel_tol)[0]
+
+
+def svd_spectra(Ms, rel_tol: float = DEFAULT_RANK_TOL) -> list[SpectrumReport]:
+    """The SpectrumReport of each matrix of a (k, r, c) stack, as svd_spectrum gives it.
+
+    One stacked SVD, and one stacked eigvals for square matrices, give each
+    matrix the bits of its own call. A stack's eigenvalues come back complex
+    when any matrix has a complex one, so each matrix whose imaginary parts
+    are all 0 gets its real parts, as np.linalg.eigvals of it alone returns.
+    """
+    Ms = np.asarray(Ms, dtype=float)
+    if Ms.ndim != 3:
+        raise ValueError(f"expected a stack of matrices, got ndim={Ms.ndim}")
+    if not np.all(np.isfinite(Ms)):
+        raise ValueError("matrix contains non-finite entries")
+    s = np.linalg.svd(Ms, compute_uv=False)
+    ranks, cvs, gaps = _row_rank(s, rel_tol), _row_cv(s), _row_gap(s)
+    eigs = [None] * len(Ms)
+    if Ms.shape[1] == Ms.shape[2]:
+        eigs = [w if w.imag.any() else w.real for w in np.linalg.eigvals(Ms)]
+    return [SpectrumReport(
+        singular_values=s[i],
+        cv=float(cvs[i]),
+        max_gap_ratio=float(gaps[i]),
+        numerical_rank=int(ranks[i]),
         tol_used=float(rel_tol),
-        eigenvalues=eig,
-    )
+        eigenvalues=eigs[i],
+    ) for i in range(len(Ms))]
 
 
 def eig_spectrum(M) -> np.ndarray:

@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from attrakit import construct
+from attrakit.cli import subseed
 from attrakit.construct import (
     ConstructedAttractor,
     construct_relu_attractor,
@@ -11,8 +15,9 @@ from attrakit.construct import (
     save_constructed,
     verify_construction,
 )
-from attrakit.dynsys import Activation, SystemForm, eval_field, make_system
-from attrakit.equilibria import attractor_dimension, residual_jacobian
+from attrakit.dynsys import Activation, KinkWarning, SystemForm, eval_field, make_system
+from attrakit.equilibria import _boundary_masks, attractor_dimension, residual_jacobian
+from attrakit.spectral import svd_spectrum
 
 SHAPES = [(4, 2, 1), (6, 4, 2), (8, 4, 3)]
 
@@ -219,3 +224,93 @@ def test_project_recovers_sampled_points():
         foot, dist = ca.project(x)
         assert dist <= 1e-10
         assert np.linalg.norm(foot - x) <= 1e-10
+
+
+def reference_verification(ca, n_samples, seed):
+    """verify_construction one sample at a time, as it was before its stacks:
+    (max_residual, ranks, zero_eig_counts, max_nonzero_realpart, failures)."""
+    rng = np.random.default_rng(seed)
+    failures, residuals, ranks, zero_counts, max_re = [], [], [], [], -np.inf
+    for i in range(n_samples):
+        x = ca.point_at(rng.uniform(0.0, ca.c_max, size=ca.m))
+        residuals.append(np.linalg.norm(eval_field(ca.sys, x)))
+        if residuals[i] > 1e-12:
+            failures.append((i, "residual", float(residuals[i])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", KinkWarning)
+            report = svd_spectrum(residual_jacobian(ca.sys, x))
+        ranks.append(report.numerical_rank)
+        if ranks[i] != ca.n - ca.m:
+            failures.append((i, "rank", ranks[i]))
+        _, near_zero = _boundary_masks(ca.sys, report)
+        zero_counts.append(int(near_zero.sum()))
+        if zero_counts[i] != ca.m:
+            failures.append((i, "zero_eigs", zero_counts[i]))
+        rest = report.eigenvalues[~near_zero]
+        if rest.size:
+            worst = float(rest.real.max())
+            max_re = max(max_re, worst)
+            if worst >= 0.0:
+                failures.append((i, "negative_eigs", worst))
+    return float(max(residuals)), ranks, zero_counts, float(max_re), tuple(failures)
+
+
+def broken_instance():
+    ca = construct_relu_attractor(p=3, z=2, m=1, seed=22)
+    return ConstructedAttractor(sys=ca.sys, p=3, z=2, m=1, basis=ca.basis,
+                                W_ZP=ca.W_ZP, b_Z=ca.b_Z + 0.1, c_max=ca.c_max)
+
+
+@pytest.mark.parametrize("stack", [1, 3, construct._STACK])
+def test_stacked_verification_matches_one_sample_at_a_time(monkeypatch, stack):
+    # 37 and 23 samples leave a part-filled last block at every stack size
+    monkeypatch.setattr(construct, "_STACK", stack)
+    cases = [(construct_relu_attractor(24, 16, 3, seed=subseed(45, 0)), 37, subseed(45, 1)),
+             (broken_instance(), 23, 0)]
+    for ca, n_samples, seed in cases:
+        report = verify_construction(ca, n_samples=n_samples, seed=seed)
+        got = (report.max_residual, report.ranks.tolist(), report.zero_eig_counts.tolist(),
+               report.max_nonzero_realpart, report.failures)
+        assert got == reference_verification(ca, n_samples, seed)
+    assert not report.passed
+
+
+def test_stacked_points_match_point_at_bitwise():
+    for p, z, m in SHAPES + [(24, 16, 3), (1, 1, 1)]:
+        ca = construct_relu_attractor(p, z, m, seed=p + z + m)
+        cs = np.random.default_rng(m).uniform(0.0, ca.c_max, size=(9, m))
+        cs[0] = 0.0
+        want = np.array([np.concatenate([ca.basis @ c, ca.W_ZP @ (ca.basis @ c) + ca.b_Z])
+                         for c in cs])
+        assert ca._points_at(cs).tobytes() == want.tobytes()
+        assert np.array([ca.point_at(c) for c in cs]).tobytes() == want.tobytes()
+
+
+def test_verification_warns_once_per_sample_on_a_kink(monkeypatch):
+    # coefficient 0 puts a whole block of x_P on the relu kink; the samples
+    # drawn at these indices get it, over several blocks of samples
+    kinked, drawn = {1, 4, 17, 30}, []
+    make_rng = np.random.default_rng
+
+    class KinkingRng:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def uniform(self, low, high, size):
+            c = self.rng.uniform(low, high, size)
+            for row in c:
+                if len(drawn) in kinked:
+                    row[0] = 0.0
+                drawn.append(row)
+            return c
+
+    ca = construct_relu_attractor(24, 16, 3, seed=subseed(45, 0))
+    monkeypatch.setattr(np.random, "default_rng", KinkingRng)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        verify_construction(ca, n_samples=37, seed=1)
+    assert len(drawn) == 37
+    kinks = [w for w in caught if issubclass(w.category, KinkWarning)]
+    assert len(kinks) == len(kinked) == len(caught)
+    # named at verify_construction, as residual_jacobian named its caller
+    assert {w.filename for w in kinks} == {construct.__file__}

@@ -16,9 +16,14 @@ from attrakit.equilibria import (
     FunctionalDependence,
     InconsistentWitnessError,
     NotAnEquilibriumError,
+    _STOP_MAX_ITER,
+    _STOP_STALL,
+    _STOP_TOL,
+    _STOP_TRIES,
     _as_box,
     _bound_residual,
-    _newton_refine,
+    _lockstep_lm,
+    _start_table,
     _uniform_in_box,
     attractor_dimension,
     dimension_from_dependence,
@@ -28,6 +33,7 @@ from attrakit.equilibria import (
     residual_vector,
     verify_dependence,
 )
+from attrakit.simulate import sine_map_system
 from attrakit.spectral import spectrum_to_dict, svd_spectrum
 
 
@@ -315,20 +321,23 @@ def newton_cases():
     return cases
 
 
+def per_call(f, sys1):
+    """A stacked closure made of one public per-point call per row."""
+    return lambda X: np.array([f(sys1, x) for x in X])
+
+
 def test_bound_newton_matches_per_call_reference():
     outcomes = []
     for sys1, box, n_starts in newton_cases():
         F, DF = _bound_residual(sys1)
         starts = _uniform_in_box(_as_box(box, sys1.n), n_starts, 11)
-        for x0 in starts:
-            x, ok = _newton_refine(F, DF, x0, 1e-10)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", KinkWarning)
-                x_ref, ok_ref = _newton_refine(lambda v: residual_vector(sys1, v),
-                                               lambda v: residual_jacobian(sys1, v), x0, 1e-10)
-            assert np.array_equal(x, x_ref)
-            assert ok == ok_ref
-            outcomes.append((sys1.form, sys1.activation, ok))
+        table = _lockstep_lm(F, DF, starts, 1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", KinkWarning)
+            table_ref = _lockstep_lm(per_call(residual_vector, sys1),
+                                     per_call(residual_jacobian, sys1), starts, 1e-10)
+        assert table.tobytes() == table_ref.tobytes()
+        outcomes += [(sys1.form, sys1.activation, ok) for ok in table[:, sys1.n] == 1.0]
         reports = find_equilibria(sys1, box, n_starts, seed=11)
         for r in reports:
             assert r.residual == float(np.linalg.norm(reference_residual(sys1, r.point)))
@@ -361,9 +370,9 @@ def test_find_equilibria_is_silent_on_relu_kinks():
     F, DF = _bound_residual(line)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, ok = _newton_refine(F, DF, np.array([2.0, 0.0, 0.5]), 1e-10)
-    assert ok
-    assert np.linalg.norm(residual_vector(line, x)) <= 1e-10
+        (row,) = _lockstep_lm(F, DF, np.array([[2.0, 0.0, 0.5]]), 1e-10)
+    assert row[3] == 1.0
+    assert np.linalg.norm(residual_vector(line, row[:3])) <= 1e-10
 
 
 @pytest.mark.parametrize("box", [(float("nan"), 5.0), (-5.0, float("inf")),
@@ -379,7 +388,7 @@ def test_non_finite_box_is_rejected(box):
 
 
 def counting_residual(monkeypatch):
-    """Make find_equilibria count its residual and Jacobian calls.
+    """Make find_equilibria count the rows it passes to its residual and Jacobian.
 
     The search runs in one range, since a forked range would count in its
     own process.
@@ -391,13 +400,13 @@ def counting_residual(monkeypatch):
     def counted(sys1):
         F, DF = bind(sys1)
 
-        def F_counted(x):
-            counts["F"] += 1
-            return F(x)
+        def F_counted(X):
+            counts["F"] += len(X)
+            return F(X)
 
-        def DF_counted(x):
-            counts["DF"] += 1
-            return DF(x)
+        def DF_counted(X):
+            counts["DF"] += len(X)
+            return DF(X)
         return F_counted, DF_counted
 
     monkeypatch.setattr("attrakit.equilibria._bound_residual", counted)
@@ -426,6 +435,8 @@ def test_zero_jacobian_without_equilibrium_stops_quietly(monkeypatch):
         assert find_equilibria(flat, box=(-3.0, 3.0), n_starts=8, seed=0) == []
     # one residual at the start, then one per rejected step of a single iteration
     assert counts == {"F": 8 * 13, "DF": 8}
+    table = _start_table(flat, _uniform_in_box(_as_box((-3.0, 3.0), 2), 8, 0), 1e-10)
+    assert table[:, 3:].tolist() == [[1.0, _STOP_TRIES, 1.25 ** 0.5, 1e-3 * 10.0 ** 12]] * 8
 
 
 def test_zero_jacobian_start_converges_iff_residual_within_tol():
@@ -433,8 +444,8 @@ def test_zero_jacobian_start_converges_iff_residual_within_tol():
                        activation=Activation.identity, form=SystemForm.pre_activation)
     F, DF = _bound_residual(flat)
     # |F| = 1 everywhere, and no step can lower it
-    assert _newton_refine(F, DF, np.zeros(2), 1.0)[1]
-    assert not _newton_refine(F, DF, np.zeros(2), 0.999)[1]
+    assert _lockstep_lm(F, DF, np.zeros((1, 2)), 1.0)[0, 2] == 1.0
+    assert _lockstep_lm(F, DF, np.zeros((1, 2)), 0.999)[0, 2] == 0.0
 
 
 @pytest.mark.parametrize("ratio, residual_calls", [(0.99, 6), (0.97, 101)])
@@ -443,13 +454,14 @@ def test_stall_stop_needs_ten_percent_over_five_accepted_steps(ratio, residual_c
     # 0.99**5 > 0.9 stalls after five steps, 0.97**5 < 0.9 runs to the 100-iteration cap
     calls = []
 
-    def F(x):
-        calls.append(x)
-        return np.array([ratio ** len(calls)])
+    def F(X):
+        calls.append(X)
+        return np.full((len(X), 1), ratio ** len(calls))
 
-    x, ok = _newton_refine(F, lambda x: np.eye(1), np.zeros(1), 1e-10)
+    (row,) = _lockstep_lm(F, lambda X: np.ones((len(X), 1, 1)), np.zeros((1, 1)), 1e-10)
     assert len(calls) == residual_calls
-    assert not ok
+    reason = _STOP_STALL if ratio ** 5 > 0.9 else _STOP_MAX_ITER
+    assert row[1:4].tolist() == [0.0, residual_calls - 1, reason]
 
 
 S = equilibria._RANGE_MIN_STARTS
@@ -500,13 +512,13 @@ def test_search_forks_only_ranges_of_enough_starts(monkeypatch, forks, cpus, n_s
 def test_search_refines_a_failed_range_again_here(monkeypatch, forks, ranges):
     sys1, box = search_case("n40")
     want = search_in_ranges(monkeypatch, sys1, box, 4 * S, 1)
-    parent, refine = os.getpid(), _newton_refine
+    parent, refine = os.getpid(), _lockstep_lm
 
     def failing_in_child(*args, **kwargs):
         if os.getpid() != parent:
             raise RuntimeError("refinement failed in a forked process")
         return refine(*args, **kwargs)
-    monkeypatch.setattr(equilibria, "_newton_refine", failing_in_child)
+    monkeypatch.setattr(equilibria, "_lockstep_lm", failing_in_child)
     got = search_in_ranges(monkeypatch, sys1, box, 4 * S, ranges)
     assert len(forks) == ranges - 1
     assert_same_reports(got, want)
@@ -516,7 +528,7 @@ def test_search_refines_a_failed_range_again_here(monkeypatch, forks, ranges):
 def test_search_raises_the_error_of_one_range(monkeypatch, forks, cpus):
     def failing(*args, **kwargs):
         raise ValueError(f"refinement failed in process {os.getpid()}")
-    monkeypatch.setattr(equilibria, "_newton_refine", failing)
+    monkeypatch.setattr(equilibria, "_lockstep_lm", failing)
     sys1, box = search_case("tanh3")
     with pytest.raises(ValueError, match=f"refinement failed in process {os.getpid()}$"):
         search_in_ranges(monkeypatch, sys1, box, 4 * S, cpus)
@@ -585,3 +597,106 @@ def test_nilpotent_jacobian_grazes_with_both_rounded_eigenvalues():
     assert reports
     for r in reports:
         assert (r.stability, r.marginal_count, r.attractor_dim) == (MARGINAL, 2, 1)
+
+
+def scalar_lm(F, DF, x0, tol):
+    """The one-start Levenberg-Marquardt that _lockstep_lm replaced, kept as its reference.
+
+    F and DF take one state. Returns the per-start row: the point, then
+    converged, iterations, stop reason, final |F| and final mu.
+    """
+    x = np.array(x0, dtype=float)
+    eye = np.eye(x.shape[0])
+    r = F(x)
+    norms = [float(np.linalg.norm(r))]
+    mu = equilibria._LM_MU_START
+    iterations, reason = 0, _STOP_MAX_ITER
+    for _ in range(equilibria._LM_MAX_ITER):
+        if norms[-1] <= 0.1 * tol:
+            reason = _STOP_TOL
+            break
+        J = DF(x)
+        iterations += 1
+        g, JtJ = J.T @ r, J.T @ J
+        for _ in range(equilibria._LM_TRIES):
+            xn = x + np.linalg.solve(JtJ + mu * eye, -g)
+            r_new = F(xn)
+            rn_new = float(np.linalg.norm(r_new))
+            if rn_new < norms[-1]:
+                x, r = xn, r_new
+                norms.append(rn_new)
+                mu = max(0.1 * mu, equilibria._LM_MU_FLOOR)
+                break
+            mu *= 10.0
+        else:
+            reason = _STOP_TRIES
+            break
+        steps = equilibria._LM_STALL_STEPS
+        if (len(norms) > steps
+                and norms[-1] > (1.0 - equilibria._LM_STALL_GAIN) * norms[-1 - steps]):
+            reason = _STOP_STALL
+            break
+    return np.append(x, [norms[-1] <= tol, iterations, reason, norms[-1], mu])
+
+
+def oracle_case(name):
+    """(system, starts) of a constructed n = 40 instance as `analyze` searches
+    it at CLI seed 45 or 601, of a 3-D tanh system, or of a discrete sine map."""
+    if name in (45, 601):
+        ca = construct_relu_attractor(p=24, z=16, m=3, seed=subseed(name, 0))
+        return ca.sys, _uniform_in_box(_as_box((-5.0, 5.0), 40), 256, subseed(name, 2))
+    if name == "tanh3":
+        sys1, box = search_case("tanh3")
+    else:
+        sys1, box = sine_map_system(n=3, seed=4), (-3.0, 3.0)
+    return sys1, _uniform_in_box(_as_box(box, 3), 64, 3)
+
+
+@functools.cache
+def oracle_table(name):
+    sys1, starts = oracle_case(name)
+    F = functools.partial(reference_residual, sys1)
+    DF = functools.partial(reference_residual_jacobian, sys1)
+    return np.array([scalar_lm(F, DF, x0, 1e-10) for x0 in starts])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("stack", [1, 3, equilibria._STACK])
+@pytest.mark.parametrize("name", [45, 601, "tanh3", "sine_map"])
+def test_lockstep_table_matches_the_scalar_reference_bit_for_bit(monkeypatch, name, stack):
+    # a stack of 1 runs one start at a time; 3 refills and packs slots at
+    # every round; the default is what the search runs. Finished and
+    # refilled slots must not warn.
+    monkeypatch.setattr(equilibria, "_STACK", stack)
+    sys1, starts = oracle_case(name)
+    table = _lockstep_lm(*_bound_residual(sys1), starts, 1e-10)
+    want = oracle_table(name)
+    assert table.tobytes() == want.tobytes()
+    # the starts end on both of the stops these searches take, many converged
+    if name in (45, 601):
+        assert set(table[:, 42]) == {_STOP_TOL, _STOP_STALL}
+        assert table[:, 40].sum() >= 100
+
+
+@pytest.mark.parametrize("name", [45, 601])
+def test_dedup_keeps_the_points_of_the_pair_loop(name):
+    sys1, starts = oracle_case(name)
+    table = oracle_table(name)
+    converged = sorted((row[:40] for row in table if row[40]), key=tuple)
+    kept = []
+    for x in converged:
+        limit = 1e-6 * (1.0 + float(np.linalg.norm(x)))
+        if all(np.linalg.norm(x - y) >= limit for y in kept):
+            kept.append(x)
+    reports = find_equilibria(sys1, (-5.0, 5.0), 256, subseed(name, 2))
+    assert [r.point.tobytes() for r in reports] == [x.tobytes() for x in kept]
+
+
+def test_start_table_is_the_same_on_one_and_two_cpus(monkeypatch, forks):
+    sys1, starts = oracle_case(601)
+    tables = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(_forked, "usable_cpus", lambda: cpus)
+        tables.append(_start_table(sys1, starts, 1e-10))
+    assert len(forks) == 1
+    assert tables[0].tobytes() == tables[1].tobytes() == oracle_table(601).tobytes()

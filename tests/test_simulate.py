@@ -17,10 +17,11 @@ from attrakit.dynsys import (
     KinkWarning,
     SystemForm,
     bound_field,
-    bound_jacobian,
     eval_field,
     jacobian_analytic,
     make_system,
+    stacked_field,
+    stacked_jacobian,
 )
 from attrakit.simulate import (
     _BLOCK_ROWS,
@@ -389,6 +390,10 @@ def test_bound_field_bits_match_matmul(form, activation, n):
             x[:n // 2] = -0.0
         sys_n = make_system(W=W, A=A, b=b, activation=activation, form=form)
         assert bound_field(sys_n)(x).tobytes() == matmul_field(sys_n, x).tobytes()
+        # a stack's rows, this one among others, have the same bits too
+        X = np.stack([x, rng.standard_normal(n), -x])
+        assert stacked_field(sys_n)(X)[0].tobytes() == bound_field(sys_n)(x).tobytes()
+        assert stacked_field(sys_n)(X)[2].tobytes() == bound_field(sys_n)(-x).tobytes()
 
 
 def test_bound_field_keeps_negative_zero_at_n1():
@@ -400,20 +405,29 @@ def test_bound_field_keeps_negative_zero_at_n1():
     assert not np.signbit(matmul_field(sys1, x)[0])
 
 
+def reference_jacobian(sys_n, x):
+    # the Jacobian of one state, as the per-state bound Jacobian wrote it
+    deriv = Activation(sys_n.activation).deriv
+    if sys_n.form is SystemForm.post_activation:
+        return sys_n.W * deriv(x) - np.eye(sys_n.n)
+    return deriv(sys_n.W @ x + sys_n.b)[:, None] * sys_n.W - sys_n.A
+
+
 @pytest.mark.parametrize("form", list(SystemForm))
 @pytest.mark.parametrize("activation", list(Activation))
 def test_bound_jacobian_matches_jacobian_analytic_bitwise(form, activation):
+    # the bound Jacobian is stacked_jacobian: each row of a stack has the
+    # bits of jacobian_analytic and of the one-state formula
     rng = np.random.default_rng(8)
     for n in (1, 3, 40):
         sys_n = random_system(n, activation, form, seed=n)
-        jac = bound_jacobian(sys_n)
         states = rng.standard_normal((8, n))
         states[::2, 0] = 0.0  # a relu kink for the post-activation form
-        for x in states:
+        for x, J in zip(states, stacked_jacobian(sys_n)(states)):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", KinkWarning)
-                J = jacobian_analytic(sys_n, x)
-            assert np.array_equal(jac(x), J)
+                assert np.array_equal(jacobian_analytic(sys_n, x), J)
+            assert np.array_equal(reference_jacobian(sys_n, x), J)
 
 
 @pytest.mark.parametrize("n", [1, 3, 40])

@@ -18,6 +18,7 @@ from attrakit.spectral import (
     numerical_rank,
     spectrum_to_dict,
     svd_factors,
+    svd_spectra,
     svd_spectrum,
 )
 
@@ -316,3 +317,50 @@ def test_matrix_without_entries_is_rejected(M):
     for f in (svd_spectrum, svd_factors, eig_spectrum):
         with pytest.raises(ValueError, match="no entries"):
             f(M)
+
+
+def spectrum_stack():
+    """Square matrices with complex, real, repeated and zero spectra."""
+    rng = np.random.default_rng(12)
+    stack = rng.standard_normal((6, 7, 7))
+    stack[1] = stack[1] + stack[1].T                   # real eigenvalues
+    stack[2] = np.diag([3.0, 3.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    stack[4] = 0.0
+    return stack
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-2])
+@pytest.mark.parametrize("shape", ["square", "real_only", "wide", "tall", "one"])
+def test_stacked_spectra_match_one_matrix_at_a_time(shape, rel_tol):
+    stack = {
+        "square": spectrum_stack(),
+        "real_only": spectrum_stack()[1:3],
+        "wide": np.random.default_rng(3).standard_normal((4, 3, 5)),
+        "tall": np.random.default_rng(4).standard_normal((4, 5, 3)),
+        "one": spectrum_stack()[:1],
+    }[shape]
+    reports = svd_spectra(stack, rel_tol)
+    assert len(reports) == len(stack)
+    for M, r in zip(stack, reports):
+        s = np.linalg.svd(M, compute_uv=False)
+        assert r.singular_values.tobytes() == s.tobytes()
+        assert (r.cv, r.max_gap_ratio, r.numerical_rank, r.tol_used) == (
+            _row_cv(s[None])[0], max_gap_ratio(s), numerical_rank(s, rel_tol), rel_tol)
+        if M.shape[0] != M.shape[1]:
+            assert r.eigenvalues is None
+        else:
+            # real where the matrix alone has real eigenvalues, as eigvals returns them
+            eig = np.linalg.eigvals(M)
+            assert r.eigenvalues.dtype == eig.dtype
+            assert r.eigenvalues.tobytes() == eig.tobytes()
+
+
+def test_stacked_spectra_reject_non_finite_entries_as_svd_spectrum_does():
+    stack = spectrum_stack()
+    stack[3, 2, 5] = np.inf
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+        svd_spectrum(stack[3])
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+        svd_spectra(stack)
+    with pytest.raises(ValueError, match="expected a stack of matrices"):
+        svd_spectra(stack[0])
