@@ -52,7 +52,7 @@ class Activation(str, enum.Enum):
         return _VALUE[self](np.asarray(x, dtype=float))
 
     def deriv(self, x):
-        return _DERIV[self](np.asarray(x, dtype=float))
+        return np.asarray(_DERIV[self](np.asarray(x, dtype=float)), dtype=float)
 
 
 _VALUE = {
@@ -64,10 +64,12 @@ _VALUE = {
 }
 
 # relu derivative at exactly 0 is 0: the kink set has measure zero, but a
-# fixed convention keeps outputs reproducible.
+# fixed convention keeps outputs reproducible. It is a boolean mask: a
+# product with it has the bits of the product with 1.0 or 0.0 (-0 and NaN
+# too), without building that float array first.
 _DERIV = {
     Activation.identity: lambda x: np.ones_like(x),
-    Activation.relu: lambda x: np.where(x > 0.0, 1.0, 0.0),
+    Activation.relu: lambda x: x > 0.0,
     Activation.tanh: lambda x: 1.0 - np.tanh(x) ** 2,
     Activation.sine: np.cos,
     Activation.logistic: lambda x: _logistic(x) * (1.0 - _logistic(x)),
@@ -157,11 +159,14 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _gemv(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """M times each row of the (k, n) stack X, as one stacked matmul.
+    """M times each row of the (k, n) stack X, each row with the bits of M.dot(x).
 
-    numpy runs one gemv per row here, so each row has the bits of M.dot(x)
-    for n >= 2; a gemm such as X @ M.T rounds differently.
+    For n >= 2 it is one stacked matmul: numpy runs one gemv per row, where
+    a gemm such as X @ M.T rounds differently. At n = 1 M.dot(x) is the one
+    product, which the matmul would add to +0, turning a -0 into +0.
     """
+    if M.shape == (1, 1):
+        return X * M[0, 0]
     return np.matmul(M, X[:, :, None])[:, :, 0]
 
 
@@ -262,16 +267,22 @@ def write_json(path, obj, indent: int | None = 2, default=None) -> None:
     """Write obj as JSON through a temporary file and an atomic rename.
 
     A reader never sees a half-written file: the path holds either its old
-    content or the complete new document. The text is streamed into the
-    temporary file rather than built in memory first, and the temporary
-    file is removed if writing fails. NaN and infinity raise ValueError,
-    because RFC 8259 JSON has no token for them. `default` is json's hook
-    for objects it cannot encode: a caller can pass a list of its own
-    objects and a converter, so each one's JSON form is built only when the
-    encoder reaches it, instead of the whole list's at once.
+    content or the complete new document, and the temporary file is
+    removed if writing fails. An indented document is streamed into the
+    temporary file rather than built in memory first. A compact one
+    (indent=None) is built by json's C encoder, which json.dump never uses,
+    in about half the time, and written in one call: the same text. NaN and
+    infinity raise ValueError, because RFC 8259 JSON has no token for them.
+    `default` is json's hook for objects it cannot encode: a caller can
+    pass a list of its own objects and a converter, so each one's JSON form
+    is built only when the encoder reaches it, instead of the whole list's
+    at once.
     """
     with open_replacing(path, "w") as fh:
-        json.dump(obj, fh, indent=indent, allow_nan=False, default=default)
+        if indent is None:
+            fh.write(json.dumps(obj, allow_nan=False, default=default))
+        else:
+            json.dump(obj, fh, indent=indent, allow_nan=False, default=default)
 
 
 @contextlib.contextmanager

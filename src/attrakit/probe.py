@@ -17,7 +17,7 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -200,7 +200,8 @@ class TinyNet:
         a = X
         last = len(self.weights) - 1
         for k, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ W.T + b
+            z = a @ W.T
+            z += b
             pre.append(z)
             a = z if k == last else act(z)
             if k != last:
@@ -233,35 +234,42 @@ def _layer_views(net: TinyNet, flat: np.ndarray) -> tuple[list, list]:
     return weights, biases
 
 
-def _loss_and_gradients_into(net: TinyNet, X: np.ndarray, y: np.ndarray,
+def _loss_and_gradients_into(net: TinyNet, X: np.ndarray, y: np.ndarray, rows: np.ndarray,
                              grad_w: list, grad_b: list) -> float:
-    """Mean cross-entropy of one batch; its gradients are written into grad_w, grad_b."""
+    """Mean cross-entropy of one batch; its gradients are written into grad_w, grad_b.
+
+    rows is np.arange(B) for the batch's B rows. The reductions are the
+    ufuncs' own, the bits of ndarray.max, .sum and .mean without their
+    wrappers, which cost as much as the arithmetic at a batch of 32.
+    """
     pre, layer_inputs = net._forward_cached(X)
     logits = pre[-1]
     B = X.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     # one exp serves the loss and the softmax
     e = np.exp(shifted)
-    total = e.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(total)
-    loss = float(-log_probs[np.arange(B), y].mean())
+    total = np.add.reduce(e, axis=1, keepdims=True)
+    # -(s / B) and (-s) / B are the same bits: the mean's, negated
+    loss = -float(np.add.reduce(shifted[rows, y] - np.log(total[:, 0]))) / B
 
-    dz = e / total
-    dz[np.arange(B), y] -= 1.0
+    dz = e
+    dz /= total
+    dz[rows, y] -= 1.0
     dz /= B
     deriv = _DERIV[net.hidden_activation]
     for k in range(len(net.weights) - 1, -1, -1):
         np.matmul(dz.T, layer_inputs[k], out=grad_w[k])
-        dz.sum(axis=0, out=grad_b[k])
+        np.add.reduce(dz, axis=0, out=grad_b[k])
         if k > 0:
-            dz = (dz @ net.weights[k]) * deriv(pre[k - 1])
+            dz = dz @ net.weights[k]
+            dz *= deriv(pre[k - 1])
     return loss
 
 
 def loss_and_gradients(net: TinyNet, X: np.ndarray, y: np.ndarray):
     """Mean cross-entropy and exact gradients for every weight and bias."""
     grad_w, grad_b = _layer_views(net, np.empty(net.param_count))
-    loss = _loss_and_gradients_into(net, X, y, grad_w, grad_b)
+    loss = _loss_and_gradients_into(net, X, y, np.arange(X.shape[0]), grad_w, grad_b)
     return loss, grad_w, grad_b
 
 
@@ -405,22 +413,61 @@ class CvRecord:
     singular_values: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class CvTrace:
-    records: list[CvRecord] = field(default_factory=list)
+    """The probe spectra of one training run, as one table.
+
+    Row i holds checkpoint checkpoint_ids[i] and column j probe j, named by
+    sample_ids[j] and categories[j]: its cv in cvs[i, j] and its k
+    singular values in singular_values[i, j]. The rows are in the order
+    they were taken, ascending in train's traces.
+    """
+
+    checkpoint_ids: np.ndarray   # (C,) int
+    sample_ids: tuple[str, ...]  # (S,)
+    categories: tuple[str, ...]  # (S,)
+    cvs: np.ndarray              # (C, S)
+    singular_values: np.ndarray  # (C, S, k)
+
+    def __post_init__(self):
+        ids = np.asarray(self.checkpoint_ids, dtype=np.int64)
+        cvs = np.asarray(self.cvs, dtype=float)
+        svs = np.asarray(self.singular_values, dtype=float)
+        C, S = ids.size, len(self.sample_ids)
+        if ids.ndim != 1 or len(self.categories) != S or cvs.shape != (C, S) \
+                or svs.ndim != 3 or svs.shape[:2] != (C, S):
+            raise ValueError(
+                f"a trace of {C} checkpoints and {S} samples needs ({C}, {S}) cvs and "
+                f"({C}, {S}, k) singular values, got {cvs.shape} and {svs.shape}")
+        object.__setattr__(self, "checkpoint_ids", ids)
+        object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
+        object.__setattr__(self, "categories", tuple(self.categories))
+        object.__setattr__(self, "cvs", cvs)
+        object.__setattr__(self, "singular_values", svs)
+
+    @property
+    def records(self) -> list[CvRecord]:
+        """One CvRecord per cell, row by row; each holds a view of its singular values."""
+        return [CvRecord(checkpoint, sample_id, category, cv, s)
+                for checkpoint, cv_row, sv_row in zip(self.checkpoint_ids.tolist(),
+                                                      self.cvs.tolist(), self.singular_values)
+                for sample_id, category, cv, s in zip(self.sample_ids, self.categories,
+                                                      cv_row, sv_row)]
 
     def checkpoints(self) -> list[int]:
-        return sorted({r.checkpoint for r in self.records})
+        """The checkpoints that hold a record, ascending."""
+        return sorted(set(self.checkpoint_ids.tolist())) if self.sample_ids else []
 
     def final_checkpoint(self) -> int:
-        return max(r.checkpoint for r in self.records)
+        return max(self.checkpoints())
 
     def mean_cv(self, category: str, checkpoint: int) -> float:
-        cvs = [r.cv for r in self.records
-               if r.category == category and r.checkpoint == checkpoint]
-        if not cvs:
+        rows = np.flatnonzero(self.checkpoint_ids == checkpoint)
+        cols = [j for j, c in enumerate(self.categories) if c == category]
+        if not (rows.size and cols):
             raise ValueError(f"no records for {category!r} at checkpoint {checkpoint}")
-        return float(np.mean(cvs))
+        # in record order, as one 1-D array: the bits of np.mean over the records' cvs
+        return float(np.mean(self.cvs[np.ix_(rows, cols)].ravel()))
 
     def series(self, category: str) -> tuple[np.ndarray, np.ndarray]:
         cps = self.checkpoints()
@@ -428,11 +475,29 @@ class CvTrace:
                 np.array([self.mean_cv(category, cp) for cp in cps]))
 
     def to_csv(self, path) -> None:
-        """Write `checkpoint,sample_id,category,cv,sv_1,...,sv_4` rows (see _write_csv)."""
-        _write_csv(path, ["checkpoint", "sample_id", "category", "cv",
-                          "sv_1", "sv_2", "sv_3", "sv_4"], "%d,%s,%s",
-                   (((r.checkpoint, r.sample_id, r.category),
-                     [r.cv, *r.singular_values[:4].tolist()]) for r in self.records))
+        """Write `checkpoint,sample_id,category,cv,sv_1,...,sv_4` rows, csv.writer's CRLF rows.
+
+        Each checkpoint's rows are formatted with one `%`: the samples' id
+        and category cells (after _csv_cell) are fixed text in the format,
+        the cv and the first four singular values follow as `%.17g` (a
+        bit-exact round trip), then empty cells where k < 4.
+        """
+        k = min(self.singular_values.shape[2], 4)
+        tail = ",%.17g" * (k + 1) + "," * (4 - k) + "\r\n"
+        block_fmt = "".join(
+            "%d," + f"{_csv_cell(sample_id)},{_csv_cell(category)}".replace("%", "%%") + tail
+            for sample_id, category in zip(self.sample_ids, self.categories))
+        # a block's values, row by row: the checkpoint (a whole float64 as
+        # %d prints it), the cv, then the singular values
+        block = np.empty((len(self.sample_ids), k + 2))
+        with open_replacing(path, "w", newline="") as fh:
+            fh.write("checkpoint,sample_id,category,cv,sv_1,sv_2,sv_3,sv_4\r\n")
+            for checkpoint, cvs, svs in zip(self.checkpoint_ids, self.cvs,
+                                            self.singular_values):
+                block[:, 0] = checkpoint
+                block[:, 1] = cvs
+                block[:, 2:] = svs[:, :k]
+                fh.write(block_fmt % tuple(block.ravel().tolist()))
 
 
 def _csv_cell(value):
@@ -511,6 +576,7 @@ def _sgd(net: TinyNet, data: Dataset, cfg: TrainConfig, marks: set[int], at_mark
     step = np.empty_like(params)
     lr, mom, wd = cfg.learning_rate, cfg.momentum, cfg.weight_decay
     rng = np.random.default_rng(cfg.seed)
+    rows = np.arange(cfg.batch_size)  # a batch's row index; the last batch's is a slice
     done = 0
     if 0 in marks:
         at_mark(0, net, params)
@@ -521,7 +587,7 @@ def _sgd(net: TinyNet, data: Dataset, cfg: TrainConfig, marks: set[int], at_mark
             for start in range(0, data.size, cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
                 loss = _loss_and_gradients_into(net, data.inputs[idx], data.labels[idx],
-                                                grad_w, grad_b)
+                                                rows[:idx.shape[0]], grad_w, grad_b)
                 if not math.isfinite(loss):
                     raise TrainingDivergedError(done, loss, lr)
                 # v = m·v + (g + wd·W), then W -= lr·v: one rounding per product
@@ -590,9 +656,9 @@ def train(net: TinyNet, data: Dataset, cfg: TrainConfig,
     S, k = len(probes), min(net.layer_dims[0], net.layer_dims[-1])
     # a view of the rows' bytes, writable as the spectra are where they are taken
     table = np.frombuffer(rows.getbuffer()).reshape(len(marks), S * (k + 1))
-    return trained, CvTrace([CvRecord(checkpoint, p.sample_id, p.category, float(cv), s)
-                             for checkpoint, row in zip(sorted(marks), table)
-                             for p, cv, s in zip(probes, row[S * k:], row[:S * k].reshape(S, k))])
+    return trained, CvTrace(sorted(marks), tuple(p.sample_id for p in probes),
+                            tuple(p.category for p in probes),
+                            table[:, S * k:], table[:, :S * k].reshape(len(marks), S, k))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +216,22 @@ def test_write_json_replaces_whole_file_with_fixed_layout(tmp_path):
         write_json(path, {"gap": float("inf")})
     assert path.read_text() == json.dumps(payload)
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_compact_json_is_json_dump_text_and_a_nan_leaves_no_file(tmp_path):
+    # a compact document comes from json's C encoder, json.dump's from its
+    # Python one: the same text
+    payload = {"weights": [[0.1, -0.0, 1e-300, 2.5e17, 1 / 3], [7, -3]],
+               "name": 'a "quoted"\nname', "nested": {"n": 40, "none": None, "ok": True},
+               "objects": [Path("x"), Path("y")]}
+    dumped = io.StringIO()
+    json.dump(payload, dumped, allow_nan=False, default=str)
+    path = tmp_path / "model.json"
+    write_json(path, payload, indent=None, default=str)
+    assert path.read_bytes() == dumped.getvalue().encode()
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "nan.json", {"w": [[1.0, float("nan")]]}, indent=None)
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 def test_system_from_dict_missing_key():

@@ -1,19 +1,24 @@
-"""The numpy identities the stacked kernels rest on, each on the shapes attrakit runs.
+"""The numpy identities the stacked and batch kernels rest on, each on the shapes attrakit runs.
 
 The Levenberg-Marquardt search, the reports and the construction check
 stack many points into one numpy call and still give each point the bits
-of its own one-point call. Each test here pins one such identity, so a
-numpy or BLAS upgrade that breaks one fails here by name, and not only as
-a moved output hash.
+of its own one-point call. The probe's SGD batch calls the ufuncs behind
+ndarray's reductions directly, works in place and takes relu's derivative
+as a boolean mask, each with the bits of the plainer form. Each test here
+pins one such identity, so a numpy or BLAS upgrade that breaks one fails
+here by name, and not only as a moved output hash.
 """
+
+import struct
 
 import numpy as np
 import pytest
 
 from attrakit.cli import subseed
 from attrakit.construct import construct_relu_attractor
-from attrakit.dynsys import Activation, SystemForm, make_system
+from attrakit.dynsys import _DERIV, Activation, SystemForm, make_system
 from attrakit.equilibria import _bound_residual
+from attrakit.probe import TinyNet, synth_blobs
 
 
 def stacked_case(name):
@@ -102,3 +107,110 @@ def test_one_uniform_draw_of_k_rows_matches_k_draws():
     got = one.uniform(0.0, 10.0, size=(37, 3))
     assert got.tobytes() == np.array([many.uniform(0.0, 10.0, size=3)
                                       for _ in range(37)]).tobytes()
+
+
+# ------------------------------------------------------- the probe's SGD batch
+
+def probe_batch(rows):
+    """The net, inputs, labels and pre-activations of a batch on the probe's 12-128-64-3 net.
+
+    A benchmark epoch runs batches of 32 rows and ends on one of 24.
+    """
+    data = synth_blobs(C=3, d=12, per_class=100, separation=6.0, seed=7)
+    net = TinyNet.init([12, 128, 64, 3], seed=8)
+    pick = np.random.default_rng(9).permutation(data.size)[:rows]
+    X, y = data.inputs[pick], data.labels[pick]
+    pre, _ = net._forward_cached(X)
+    return net, X, y, pre
+
+
+def with_specials(a, seed):
+    """A copy of a with -0, +0, NaN and both infinities planted, one row of them each."""
+    a = a.copy()
+    rng = np.random.default_rng(seed)
+    for value in (-0.0, 0.0, np.nan, np.inf, -np.inf):
+        a.flat[rng.choice(a.size, max(1, a.size // 8), replace=False)] = value
+    a[1] = -0.0
+    a[2] = np.nan
+    return a
+
+
+BATCHES = [32, 24]
+
+
+@pytest.mark.parametrize("rows", BATCHES)
+def test_maximum_reduce_matches_ndarray_max(rows):
+    logits = probe_batch(rows)[3][-1]
+    for a in (logits, with_specials(logits, 1)):
+        assert np.maximum.reduce(a, axis=1, keepdims=True).tobytes() == \
+            a.max(axis=1, keepdims=True).tobytes()
+
+
+@pytest.mark.parametrize("rows", BATCHES)
+@np.errstate(invalid="ignore")  # inf - inf and inf * 0 are NaN
+def test_add_reduce_matches_ndarray_sum(rows):
+    pre = probe_batch(rows)[3]
+    e = np.exp(pre[-1] - pre[-1].max(axis=1, keepdims=True))
+    assert np.add.reduce(e, axis=1, keepdims=True).tobytes() == \
+        e.sum(axis=1, keepdims=True).tobytes()
+    # the bias gradients, into views of one flat buffer
+    flat = np.empty(sum(z.shape[1] for z in pre))
+    lo = 0
+    for z in pre + [with_specials(z, 2) for z in pre]:
+        out = flat[lo % flat.size:lo % flat.size + z.shape[1]]
+        lo += z.shape[1]
+        np.add.reduce(z, axis=0, out=out)
+        assert out.tobytes() == z.sum(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("rows", BATCHES)
+def test_reduce_loss_matches_the_negated_mean(rows):
+    _, _, y, pre = probe_batch(rows)
+    index = np.arange(rows)
+    for logits in (pre[-1], 40.0 * pre[-1], with_specials(pre[-1], 3)):
+        with np.errstate(invalid="ignore"):
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            total = np.exp(shifted).sum(axis=1, keepdims=True)
+            want = float(-(shifted - np.log(total))[index, y].mean())
+            got = -float(np.add.reduce(shifted[index, y] - np.log(total[:, 0]))) / rows
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+@pytest.mark.parametrize("rows", BATCHES)
+def test_in_place_bias_and_softmax_match_their_copies(rows):
+    net, X, _, pre = probe_batch(rows)
+    a = X
+    for W, b, z in zip(net.weights, net.biases, pre):
+        got = a @ W.T
+        got += b
+        assert got.tobytes() == (a @ W.T + b).tobytes()
+        a = np.maximum(z, 0.0)
+    e = np.exp(pre[-1] - pre[-1].max(axis=1, keepdims=True))
+    total = e.sum(axis=1, keepdims=True)
+    want = e / total
+    e /= total
+    assert e.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", BATCHES)
+@np.errstate(invalid="ignore")  # inf - inf and inf * 0 are NaN
+def test_relu_mask_product_matches_the_product_with_np_where(rows):
+    net, _, _, pre = probe_batch(rows)
+    rng = np.random.default_rng(10)
+    for k, z in enumerate(pre[:-1]):
+        p = with_specials(z, 4 + k)
+        d = with_specials(rng.standard_normal(z.shape), 6 + k)
+        want = d * np.where(p > 0.0, 1.0, 0.0)
+        assert (d * (p > 0.0)).tobytes() == want.tobytes()
+        assert (d * _DERIV[Activation.relu](p)).tobytes() == want.tobytes()
+        d *= p > 0.0
+        assert d.tobytes() == want.tobytes()
+        assert Activation.relu.deriv(p).tobytes() == np.where(p > 0.0, 1.0, 0.0).tobytes()
+    # the stacks the probe spectra and the attractor's Jacobians multiply by it
+    p = with_specials(rng.standard_normal((96, 1, 64)), 8)
+    J = with_specials(rng.standard_normal((96, 3, 64)), 9)
+    want = J * np.where(p > 0.0, 1.0, 0.0)
+    assert np.multiply(J, p > 0.0, out=J).tobytes() == want.tobytes()
+    W = with_specials(rng.standard_normal((40, 40)), 11)
+    p = with_specials(rng.standard_normal((16, 40, 1)), 12)
+    assert ((p > 0.0) * W).tobytes() == (np.where(p > 0.0, 1.0, 0.0) * W).tobytes()

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import errno
 import json
 import math
 import os
@@ -710,14 +712,36 @@ def test_group_csv_outputs(tmp_path):
         assert b"\r\r" not in data
 
 
-def write_failing_midway(which, path):
-    """Write one of probe's CSVs whose second row cannot be formatted."""
+class DiskFullAfter:
+    """A text file whose writes fail as on a full disk once `writes` went through."""
+
+    def __init__(self, fh, writes):
+        self.fh, self.writes = fh, writes
+
+    def write(self, text):
+        if self.writes == 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.writes -= 1
+        return self.fh.write(text)
+
+
+def write_failing_midway(which, path, monkeypatch):
+    """Write one of probe's CSVs, failing after its first rows."""
     good = GroupCvStats(group="good", cvs=np.array([0.5]), singular_values=[np.array([2.0])])
     bad = GroupCvStats(group="bad", cvs=np.array(["x"]), singular_values=[np.array([2.0])])
     if which == "cvtrace":
-        records = [CvRecord(i, f"s{i}", TRAIN_CLASS, 0.5, np.array([2.0])) for i in range(600)]
-        records.append(CvRecord(600, "s600", TRAIN_CLASS, "x", np.array([2.0])))
-        CvTrace(records).to_csv(path)
+        # the disk fills at the 300th of 600 checkpoints, after the first
+        # rows have left the file's buffer
+        opened = probe.open_replacing
+
+        @contextlib.contextmanager
+        def filling_up(*args, **kwargs):
+            with opened(*args, **kwargs) as fh:
+                yield DiskFullAfter(fh, 300)
+
+        monkeypatch.setattr(probe, "open_replacing", filling_up)
+        CvTrace(np.arange(600), ["s"], [TRAIN_CLASS], np.full((600, 1), 0.5),
+                np.full((600, 1, 1), 2.0)).to_csv(path)
     elif which == "stratification":
         write_group_stats_csv([good, bad], path)
     else:
@@ -725,9 +749,9 @@ def write_failing_midway(which, path):
 
 
 @pytest.mark.parametrize("which", ["cvtrace", "stratification", "stratification_samples"])
-def test_probe_csv_that_fails_midway_leaves_no_file(tmp_path, which):
-    with pytest.raises((TypeError, ValueError)):
-        write_failing_midway(which, tmp_path / f"{which}.csv")
+def test_probe_csv_that_fails_midway_leaves_no_file(tmp_path, monkeypatch, which):
+    with pytest.raises((TypeError, ValueError, OSError)):
+        write_failing_midway(which, tmp_path / f"{which}.csv", monkeypatch)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -830,8 +854,10 @@ def reference_train(net, data, cfg, probes):
         order = rng.permutation(data.size)
         for start in range(0, data.size, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            _, grad_w, grad_b = reference_loss_and_gradients(
+            loss, grad_w, grad_b = reference_loss_and_gradients(
                 net, data.inputs[idx], data.labels[idx])
+            if not math.isfinite(loss):
+                raise TrainingDivergedError(done, loss, cfg.learning_rate)
             for k in range(len(net.weights)):
                 gw = grad_w[k] + cfg.weight_decay * net.weights[k]
                 gb = grad_b[k] + cfg.weight_decay * net.biases[k]
@@ -845,9 +871,18 @@ def reference_train(net, data, cfg, probes):
     return net, records
 
 
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("dims, activation, weight_decay, momentum", [
     ((8, 16, 8, 3), Activation.relu, 5e-4, 0.9),
     ((8, 16, 8, 3), Activation.tanh, 0.0, 0.0),
+    ((8, 16, 8, 3), Activation.logistic, 5e-4, 0.9),
+    ((8, 16, 8, 3), Activation.sine, 5e-4, 0.9),
     ((8, 12, 3), Activation.tanh, 5e-4, 0.9),
     ((8, 12, 3), Activation.relu, 0.0, 0.9),
     ((8, 3), Activation.relu, 5e-4, 0.0),
@@ -862,27 +897,45 @@ def test_train_is_bit_identical_to_the_per_layer_update(dims, activation, weight
     probes = make_probe_samples(data, n_per_category=2, seed=34)
     trained, trace = train(net, data, cfg, probes=probes)
     want, want_records = reference_train(net, data, cfg, probes)
-    for got, ref in zip(trained.weights + trained.biases, want.weights + want.biases):
-        assert got.shape == ref.shape
-        assert np.array_equal(got, ref)
+    # bytes, not np.array_equal, so a -0 where the reference has +0 fails
+    assert_same_bits(trained.weights + trained.biases, want.weights + want.biases)
     assert len(trace.records) == len(want_records)
     for got, ref in zip(trace.records, want_records):
         assert (got.checkpoint, got.sample_id, got.category) == (
             ref.checkpoint, ref.sample_id, ref.category)
-        assert got.cv == ref.cv
-        assert np.array_equal(got.singular_values, ref.singular_values)
+        assert struct.pack("<d", got.cv) == struct.pack("<d", ref.cv)
+        assert_same_bits([got.singular_values], [ref.singular_values])
 
 
-def test_loss_and_gradients_match_the_per_layer_reference():
+@pytest.mark.parametrize("activation, learning_rate", [
+    (Activation.relu, 1e4),
+    (Activation.sine, 1e30),  # a bounded activation diverges only at an absurd rate
+    (Activation.tanh, 1e200),
+])
+def test_train_diverges_at_the_batch_and_loss_of_the_per_layer_update(activation,
+                                                                     learning_rate):
+    data = synth_blobs(C=3, d=8, per_class=35, separation=6.0, seed=31)
+    net = TinyNet.init((8, 16, 8, 3), seed=32, hidden_activation=activation)
+    cfg = TrainConfig(learning_rate=learning_rate, batch_size=32, epochs=3, seed=33)
+    probes = make_probe_samples(data, n_per_category=2, seed=34)
+    with pytest.raises(TrainingDivergedError) as got:
+        train(net, data, cfg, probes=probes)
+    with pytest.raises(TrainingDivergedError) as want, \
+            np.errstate(over="ignore", invalid="ignore"):
+        reference_train(net, data, cfg, probes)
+    assert got.value.batch == want.value.batch
+    assert struct.pack("<d", got.value.loss) == struct.pack("<d", want.value.loss)
+
+
+@pytest.mark.parametrize("activation", list(Activation))
+def test_loss_and_gradients_match_the_per_layer_reference(activation):
     data = synth_blobs(C=3, d=6, per_class=10, separation=6.0, seed=35)
-    for activation in (Activation.relu, Activation.tanh):
-        net = small_net(seed=36)
-        net.hidden_activation = activation
-        loss, grad_w, grad_b = loss_and_gradients(net, data.inputs, data.labels)
-        ref_loss, ref_w, ref_b = reference_loss_and_gradients(net, data.inputs, data.labels)
-        assert loss == ref_loss
-        for got, ref in zip(grad_w + grad_b, ref_w + ref_b):
-            assert np.array_equal(got, ref)
+    net = small_net(seed=36)
+    net.hidden_activation = activation
+    loss, grad_w, grad_b = loss_and_gradients(net, data.inputs, data.labels)
+    ref_loss, ref_w, ref_b = reference_loss_and_gradients(net, data.inputs, data.labels)
+    assert struct.pack("<d", loss) == struct.pack("<d", ref_loss)
+    assert_same_bits(grad_w + grad_b, ref_w + ref_b)
 
 
 @pytest.mark.parametrize("size", [1, 63, 64, 65, 255, 256, 257, 3000])
@@ -913,25 +966,50 @@ def reference_cv_trace_csv(trace, path):
         writer = csv.writer(fh)
         writer.writerow(["checkpoint", "sample_id", "category", "cv",
                          "sv_1", "sv_2", "sv_3", "sv_4"])
-        for r in trace.records:
-            svs = [f"{v:.17g}" for v in r.singular_values[:4]]
-            svs += [""] * (4 - len(svs))
-            writer.writerow([r.checkpoint, r.sample_id, r.category, f"{r.cv:.17g}"] + svs)
+        for checkpoint, cvs, svs in zip(trace.checkpoint_ids, trace.cvs,
+                                        trace.singular_values):
+            for sample_id, category, cv, s in zip(trace.sample_ids, trace.categories, cvs, svs):
+                cells = [f"{v:.17g}" for v in s[:4]]
+                cells += [""] * (4 - len(cells))
+                writer.writerow([int(checkpoint), sample_id, category, f"{cv:.17g}"] + cells)
 
 
-def test_cv_trace_csv_bytes_match_csv_writer(tmp_path):
-    rng = np.random.default_rng(41)
-    records = [CvRecord(0, "train_class/0", TRAIN_CLASS, 0.25, rng.uniform(0, 9, 5)),
-               CvRecord(0, 'odd, "quoted" id', HELD_OUT_CLASS, 1 / 3, rng.uniform(0, 9, 4)),
-               CvRecord(10, "two\nlines", RANDOM_NOISE, 0.0, rng.uniform(0, 9, 3)),
-               CvRecord(20, "", "cat,egory", 1e-300, np.array([2.0, -0.0]))]
-    # more records than one block, so block boundaries are crossed
-    records += [CvRecord(30 + i, f"random_noise/{i}", RANDOM_NOISE, float(v),
-                         rng.uniform(0, 9, 2 + i % 3)) for i, v in enumerate(rng.random(600))]
-    trace = CvTrace(records)
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_cv_trace_csv_bytes_match_csv_writer(tmp_path, k):
+    rng = np.random.default_rng(41 + k)
+    sample_ids = ["train_class/0", 'odd, "quoted" id', "two\nlines", "", "100% sure"]
+    categories = [TRAIN_CLASS, HELD_OUT_CLASS, RANDOM_NOISE, "cat,egory", "%d"]
+    # many checkpoints, one block each
+    checkpoints = np.arange(0, 3000, 10)
+    cvs = rng.random((checkpoints.size, 5))
+    cvs[0, :4] = [0.25, 1 / 3, 0.0, 1e-300]
+    svs = rng.uniform(0, 9, (checkpoints.size, 5, k))
+    svs[1, 3, -1] = -0.0
+    trace = CvTrace(checkpoints, sample_ids, categories, cvs, svs)
     trace.to_csv(tmp_path / "got.csv")
     reference_cv_trace_csv(trace, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_cv_trace_records_are_its_cells_row_by_row():
+    svs = np.arange(24.0).reshape(2, 3, 4)
+    trace = CvTrace([0, 10], ["a", "b", "c"], [TRAIN_CLASS, RANDOM_NOISE, TRAIN_CLASS],
+                    [[0.5, 0.25, -0.0], [1.5, 2.0, 3.0]], svs)
+    records = trace.records
+    assert [(r.checkpoint, r.sample_id, r.category, r.cv) for r in records] == [
+        (0, "a", TRAIN_CLASS, 0.5), (0, "b", RANDOM_NOISE, 0.25), (0, "c", TRAIN_CLASS, -0.0),
+        (10, "a", TRAIN_CLASS, 1.5), (10, "b", RANDOM_NOISE, 2.0), (10, "c", TRAIN_CLASS, 3.0)]
+    assert all(type(r.checkpoint) is int and type(r.cv) is float for r in records)
+    assert math.copysign(1.0, records[2].cv) == -1.0
+    assert_same_bits([r.singular_values for r in records], list(svs.reshape(6, 4)))
+    assert trace.checkpoints() == [0, 10] and trace.final_checkpoint() == 10
+    assert trace.mean_cv(TRAIN_CLASS, 10) == float(np.mean([1.5, 3.0]))
+    with pytest.raises(ValueError, match="no records"):
+        trace.mean_cv(HELD_OUT_CLASS, 0)
+    with pytest.raises(ValueError, match="no records"):
+        trace.mean_cv(TRAIN_CLASS, 5)
+    with pytest.raises(ValueError, match="2 checkpoints and 3 samples"):
+        CvTrace([0, 10], ["a", "b", "c"], ["x", "y", "z"], np.zeros((2, 2)), svs)
 
 
 def reference_group_csvs(stats, stats_path, samples_path):
