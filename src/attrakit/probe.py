@@ -239,8 +239,8 @@ def _loss_and_gradients_into(net: TinyNet, X: np.ndarray, y: np.ndarray, rows: n
     """Mean cross-entropy of one batch; its gradients are written into grad_w, grad_b.
 
     rows is np.arange(B) for the batch's B rows. The reductions are the
-    ufuncs' own, the bits of ndarray.max, .sum and .mean without their
-    wrappers, which cost as much as the arithmetic at a batch of 32.
+    ufuncs' own: the bits of ndarray.max, .sum and .mean without their
+    Python wrappers.
     """
     pre, layer_inputs = net._forward_cached(X)
     logits = pre[-1]

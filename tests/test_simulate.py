@@ -397,17 +397,17 @@ def test_bound_field_bits_match_matmul(form, activation, n):
         assert stacked_field(sys_n)(X)[2].tobytes() == bound_field(sys_n)(-x).tobytes()
 
 
-@pytest.mark.parametrize("form", list(SystemForm))
-def test_bound_field_keeps_negative_zero_at_n1(form):
+def test_bound_field_keeps_negative_zero_at_n1():
     # the one case where ndarray.dot and @ differ: a single product of -0,
     # here W x = -2 * +0; the stacked field and the residual keep it too
-    sys1 = make_system(W=[[-2.0]], A=[[0.5]], b=[-0.0],
-                       activation=Activation.identity, form=form)
     x = np.array([0.0])
-    assert np.signbit(bound_field(sys1)(x)[0])
-    assert not np.signbit(matmul_field(sys1, x)[0])
-    assert np.signbit(stacked_field(sys1)(x[None])[0, 0])
-    assert np.signbit(residual_vector(sys1, x)[0])
+    for form in SystemForm:
+        sys1 = make_system(W=[[-2.0]], A=[[0.5]], b=[-0.0],
+                           activation=Activation.identity, form=form)
+        assert np.signbit(bound_field(sys1)(x)[0]), form
+        assert not np.signbit(matmul_field(sys1, x)[0]), form
+        assert np.signbit(stacked_field(sys1)(x[None])[0, 0]), form
+        assert np.signbit(residual_vector(sys1, x)[0]), form
 
 
 def reference_jacobian(sys_n, x):
