@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 construction failure, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -66,6 +67,12 @@ from .simulate import (
     write_csv_rows,
 )
 from .spectral import DEFAULT_RANK_TOL, spectrum_to_dict, svd_spectrum
+
+# the ~23k objects the imports made live as long as the process; frozen, no
+# collection walks them, the interpreter's exit does not free them one by
+# one, and a forked child's collections leave their pages shared. Only the
+# command line does this: `import attrakit` leaves the collector alone.
+gc.freeze()
 
 # named sub-streams hanging off the single --seed
 _STREAM_CONSTRUCT = 0

@@ -1,8 +1,25 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from attrakit import _forked
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args, unset=(), **kwargs):
+    """Runs this interpreter on args with PYTHONPATH set to src/; the completed process.
+
+    Output is captured as text. The environment is this process's, less the
+    variables named in `unset`; kwargs go to subprocess.run.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          **kwargs)
 
 
 @pytest.fixture

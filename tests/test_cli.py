@@ -8,7 +8,6 @@ import json
 import os
 import shlex
 import struct
-import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -22,6 +21,7 @@ from attrakit import _forked, simulate
 from attrakit.cli import _sha256, build_parser, main, subseed
 from attrakit.dynsys import Activation, SystemForm, make_system, save_system
 from attrakit.probe import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
+from conftest import run_python
 
 
 def sha256(path: Path) -> str:
@@ -797,17 +797,27 @@ def test_rank_tol_moves_the_rank_and_the_marginal_band_together(tmp_path, capsys
 
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency; scipy is for tests and scripts
-    src = Path(__file__).resolve().parents[1] / "src"
     code = ("import attrakit, attrakit.cli, sys; "
             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    done = run_python("-c", code, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module, frozen", [("attrakit", False), ("attrakit.cli", True)])
+def test_only_the_cli_import_freezes_the_collector(module, frozen):
+    # the CLI freezes what its imports made, and still collects what comes after
+    code = (f"import gc, {module}\n"
+            "cycle = []\n"
+            "cycle.append(cycle)\n"
+            "del cycle\n"
+            "print(gc.get_freeze_count(), gc.isenabled(), gc.collect())\n")
+    count, enabled, collected = run_python("-c", code, check=True).stdout.split()
+    assert (int(count) > 0) == frozen
+    assert enabled == "True" and int(collected) >= 1
 
 
 def run_simulate_seeing_cpus(out_dir: Path, cpus: int):
     """simulate in a subprocess whose stdout is a pipe and that sees `cpus` usable CPUs."""
-    src = Path(__file__).resolve().parents[1] / "src"
     argv = ["simulate", "--gen", "stratified", "--steps", "5000", "--snapshots", "1,5000",
             "--seed", "3", "--out-dir", str(out_dir)]
     # "start" sits in the block-buffered stdout when the writer forks, so a
@@ -828,9 +838,7 @@ def run_simulate_seeing_cpus(out_dir: Path, cpus: int):
             f"code = main({argv!r})\n"
             "print('forks', len(forks), file=sys.stderr)\n"
             "sys.exit(code)\n")
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**env, "PYTHONPATH": str(src)}, timeout=120)
+    return run_python("-c", code, unset=("PYTHONUNBUFFERED",), timeout=120)
 
 
 def test_simulate_split_csv_writer_matches_serial_run(tmp_path):
@@ -993,13 +1001,18 @@ def test_a_fork_that_cannot_start_leaves_its_work_to_this_process(tmp_path, monk
     assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
+def grow_system(path):
+    # x(t+1) = 1.003 x(t): from x0 = 1 it passes 1e12 near step 9,225, long
+    # after simulate's CSV formatter forked
+    save_system(make_system(W=[[0.0]], A=[[-1.003]], b=[0.0], activation=Activation.identity,
+                            form=SystemForm.discrete_map), path)
+    return path
+
+
 def test_simulate_diverging_after_forks_leaves_no_file_and_no_process(tmp_path, monkeypatch,
                                                                       capsys, forks):
     monkeypatch.setattr(_forked, "usable_cpus", lambda: 2)
-    system_path = tmp_path / "grow.json"
-    # x(t+1) = 1.003 x(t) passes 1e12 near step 9,225, long after the formatter forked
-    save_system(make_system(W=[[0.0]], A=[[-1.003]], b=[0.0], activation=Activation.identity,
-                            form=SystemForm.discrete_map), system_path)
+    system_path = grow_system(tmp_path / "grow.json")
     out = tmp_path / "run"
     code = main(["simulate", str(system_path), "--steps", "20000", "--x0", "1",
                  "--out-dir", str(out)])
@@ -1046,6 +1059,46 @@ def test_probe_diverging_exits_4_with_one_line(tmp_path, monkeypatch, capsys, re
         assert get() == 2
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["construct", "--p", "4", "--z", "2", "--m", "1", "--c-max", "2", "--seed", "5"], 0),
+    (["construct", "--p", "4", "--z", "3", "--m", "2", "--c-max", "1e12", "--samples", "5",
+      "--seed", "1"], 1),
+    (["construct", "--p", "4", "--z", "2", "--m", "1", "--bogus"], 2),
+    (["simulate", "grow.json", "--steps", "20000", "--x0", "1"], 3),
+    (["probe", "--synthetic", "--lr", "1e6", "--epochs", "1", "--per-class", "100",
+      "--probes-per-category", "4", "--seed", "1"], 4),
+], ids=["0", "1", "2", "3", "4"])
+def test_process_exit_matches_main(tmp_path, monkeypatch, capsys, argv, code):
+    # `python -m attrakit.cli` ends through the interpreter's own exit, with
+    # the CLI's import-time objects frozen; it must print, write and exit as
+    # main() does in this process
+    grow_system(tmp_path / "grow.json")
+    argv = [str(tmp_path / a) if a == "grow.json" else a for a in argv] + ["--out-dir", "run"]
+    runs = []
+    for where in ("main", "process"):
+        cwd = tmp_path / where
+        cwd.mkdir()
+        if where == "main":
+            monkeypatch.chdir(cwd)
+            try:
+                got = main(argv)
+            except SystemExit as exc:  # argparse's exit 2
+                got = exc.code
+            out, err = capsys.readouterr()
+        else:
+            # block-buffered, as a user's pipe is, so the exit must flush it
+            done = run_python("-m", "attrakit.cli", *argv, unset=("PYTHONUNBUFFERED",),
+                              cwd=cwd, timeout=120)
+            got, out, err = done.returncode, done.stdout, done.stderr
+        run = cwd / "run"
+        made = sorted(os.listdir(run)) if run.exists() else None
+        runs.append((got, out, err, made, out_hashes(run) if made else {}))
+    assert runs[0][0] == code
+    assert runs[1] == runs[0]
+    # every output is in place, and no temporary file or part is left
+    assert not any(name.endswith(".tmp") for name in runs[1][3] or [])
+
+
 def test_readme_recipes_parse():
     # every `attrakit ...` line of README's command-line block, continuations joined
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -1079,13 +1132,8 @@ def pin_to_one_cpu():
 def test_analyze_on_every_cpu_matches_a_one_cpu_run(tmp_path):
     # analyze refines its 64 starts in one range per usable CPU; the run
     # pinned to one CPU forks nothing, and both must give the same bytes
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-
     def run(argv, preexec_fn):
-        done = subprocess.run([sys.executable, "-m", "attrakit.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=120,
-                              preexec_fn=preexec_fn)
+        done = run_python("-m", "attrakit.cli", *argv, timeout=120, preexec_fn=preexec_fn)
         assert done.returncode == 0 and done.stderr == "", done.stderr
         return done.stdout
 
@@ -1106,12 +1154,8 @@ def test_wide_analyze_on_every_cpu_matches_a_one_cpu_run(tmp_path, openblas):
     # at n = 200 the Newton solves' products sum 200 terms, which OpenBLAS
     # blocks differently on one thread and on more; every range runs them
     # on one thread, so the bytes do not depend on the CPU count
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-
     def run(argv, preexec_fn):
-        done = subprocess.run([sys.executable, "-m", "attrakit.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=300,
-                              preexec_fn=preexec_fn)
+        done = run_python("-m", "attrakit.cli", *argv, timeout=300, preexec_fn=preexec_fn)
         assert done.returncode == 0 and done.stderr == "", done.stderr
         return done.stdout
 
@@ -1134,15 +1178,14 @@ def test_probe_mnist_on_every_cpu_matches_a_one_cpu_run(tmp_path, openblas):
     # OpenBLAS blocks differently on one thread and on two; train runs
     # them on one thread, so the bytes do not depend on the CPU count
     images, labels = write_idx_fixture(tmp_path, n_classes=10, per_class=60, side=28)
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     runs = []
     for preexec_fn in (None, pin_to_one_cpu):
         out = tmp_path / ("one" if preexec_fn else "every")
-        done = subprocess.run(
-            [sys.executable, "-m", "attrakit.cli", "probe", "--mnist", str(images), str(labels),
-             "--holdout-digit", "4", "--epochs", "1", "--probes-per-category", "4",
-             "--samples-per-group", "10", "--seed", "5", "--out-dir", str(out)],
-            capture_output=True, text=True, env=env, timeout=120, preexec_fn=preexec_fn)
+        done = run_python(
+            "-m", "attrakit.cli", "probe", "--mnist", str(images), str(labels),
+            "--holdout-digit", "4", "--epochs", "1", "--probes-per-category", "4",
+            "--samples-per-group", "10", "--seed", "5", "--out-dir", str(out),
+            timeout=120, preexec_fn=preexec_fn)
         assert done.returncode == 0 and done.stderr == "", done.stderr
         runs.append((done.stdout, out_hashes(out)))
     assert runs[0] == runs[1]

@@ -4,14 +4,13 @@ import io
 import json
 import os
 import signal
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from attrakit import _forked
+from conftest import run_python
 
 
 @pytest.fixture
@@ -282,13 +281,10 @@ def test_run_in_ranges_runs_every_range_on_one_blas_thread(tmp_path, forks, two_
 
 def threads_after_import(modules):
     """Entries in /proc/self/task and OPENBLAS_NUM_THREADS after importing modules afresh."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     code = (f"import json, os, {modules}\n"
             "print(json.dumps([len(os.listdir('/proc/self/task')),\n"
             "                  os.environ.get('OPENBLAS_NUM_THREADS')]))\n")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
+    done = run_python("-c", code, unset=("OPENBLAS_NUM_THREADS",), timeout=60, check=True)
     return json.loads(done.stdout)
 
 
@@ -365,7 +361,5 @@ def test_attrakit_imports_and_feeds_a_child_without_fcntl():
             "    child.feed.write(b'abc')\n"
             "    sink = io.BytesIO()\n"
             "    print(child.join(sink), sink.getvalue())\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60, check=True)
+    done = run_python("-c", code, timeout=60, check=True)
     assert done.stdout == "True b'ABC'\n"

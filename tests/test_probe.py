@@ -5,8 +5,6 @@ import json
 import math
 import os
 import struct
-import subprocess
-import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -49,6 +47,7 @@ from attrakit.probe import (
     write_group_stats_csv,
 )
 from attrakit.spectral import cv_metric
+from conftest import run_python
 
 
 def write_idx_pair(tmp_path, images, labels):
@@ -1076,7 +1075,6 @@ def test_median_cv_has_the_bits_of_np_median_for_any_doubles(cvs):
 
 def test_probe_run_imports_no_numpy_ma(tmp_path):
     # np.median's NaN check imports numpy.ma; the probe's median does not
-    src = Path(__file__).resolve().parents[1] / "src"
     argv = ["probe", "--synthetic", "--classes", "3", "--dim", "8", "--epochs", "1",
             "--per-class", "40", "--probes-per-category", "2", "--samples-per-group", "10",
             "--out-dir", str(tmp_path)]
@@ -1084,8 +1082,7 @@ def test_probe_run_imports_no_numpy_ma(tmp_path):
             "from attrakit.cli import main\n"
             f"assert main({argv!r}) == 0\n"
             "print('numpy.ma' in sys.modules)\n")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    done = run_python("-c", code, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
     assert (tmp_path / "stratification.csv").exists()

@@ -1,21 +1,15 @@
 """The experiment scripts run end to end at small sizes."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+from conftest import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_script(name, args, cwd):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    return run_python(str(ROOT / "scripts" / name), *args, cwd=cwd, timeout=120)
 
 
 @pytest.mark.parametrize("name, args, outputs", [
